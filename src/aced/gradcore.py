@@ -3,9 +3,13 @@
 A Tensor is a (batch, channel, height, width) array with an optional
 gradient buffer. Operations append nodes to an explicit Tape; backward()
 replays the recorded nodes in reverse and accumulates gradients into every
-tensor that needs them. The operation set is exactly what a small
-convolutional ordinal-regression network needs, all in float64 so analytic
-gradients can be checked against central finite differences.
+tensor that needs them, then drops the nodes. Each output points to its
+tape, so dropping the nodes breaks the output -> tape -> node -> output
+cycle: a step's graph is freed by reference counting as soon as the caller
+lets go of it, not whenever the cycle collector next runs. The operation
+set is exactly what a small convolutional ordinal-regression network
+needs, all in float64 so analytic gradients can be checked against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -259,7 +263,8 @@ def backward(loss: Tensor) -> None:
     """Populate grad for every needs_grad tensor the loss depends on.
 
     The loss must be a scalar produced on a live tape; running a second
-    backward on the same tape without reset() is rejected.
+    backward on the same tape without reset() is rejected. The replayed
+    nodes are released, so the tape is empty afterwards.
     """
     if loss.shape != (1, 1, 1, 1):
         raise TapeError(f"loss must be scalar (1,1,1,1), got shape {loss.shape}")
@@ -274,6 +279,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         node.backward(g)
+    tape._nodes.clear()
     tape._done = True
 
 
@@ -418,6 +424,17 @@ def upsample_nearest(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     return out
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """Column buffer (c*kh*kw, b*oh*ow) of a channel-major padded input
+    (c, b, H, W); rows are ordered (c, i, j), columns (b, oh, ow)."""
+    c, b = xp.shape[:2]
+    cols = np.empty((c, kh, kw, b, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
+    return cols.reshape(c * kh * kw, b * oh * ow)
+
+
 def conv2d(
     tape: Tape | None,
     x: Tensor,
@@ -430,6 +447,16 @@ def conv2d(
 
     Output size per axis is (in + 2*padding - k)//stride + 1; rows/columns
     that do not fit a full window are dropped.
+
+    Computed as GEMMs on a column buffer (Chellapilla et al., 2006). The
+    padded input is held channel-major, (c, b, H+2p, W+2p), and the columns
+    have shape (c*kh*kw, b*oh*ow) with rows ordered (c, i, j), built by one
+    strided copy per kernel tap (i, j). Forward is y = W @ cols with W the
+    weight as (oc, c*kh*kw). Backward gives dW = g @ cols.T and
+    dcols = W.T @ g, and scatters dcols back with one strided add per tap
+    (col2im). Backward rebuilds the columns from the padded input instead
+    of keeping them on the tape, so only one conv's columns are alive at a
+    time.
     """
     b, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
@@ -449,27 +476,31 @@ def conv2d(
             f"conv2d: kernel ({kh}x{kw}) too large for padded input "
             f"({h + 2 * p}x{w + 2 * p})"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]  # (b, c, oh, ow, kh, kw)
-    out_data = np.tensordot(win, weight.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = Tensor(out_data.transpose(0, 3, 1, 2) + bias.data)
+    xp = np.zeros((c, b, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
+    w2 = weight.data.reshape(oc, c * kh * kw)
+    y = (w2 @ _im2col(xp, kh, kw, s, oh, ow)).reshape(oc, b, oh, ow)
+    # Add into a C-ordered buffer; a plain `+` would keep y's (oc, b) order.
+    out_data = np.empty((b, oc, oh, ow))
+    np.add(y.transpose(1, 0, 2, 3), bias.data, out=out_data)
+    out = Tensor(out_data)
     if _want(tape, x, weight, bias):
         def bwd(g):
             if bias.needs_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
+            g2 = g.transpose(1, 0, 2, 3).reshape(oc, b * oh * ow)
             if weight.needs_grad:
-                _accum(weight, np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
+                cols = _im2col(xp, kh, kw, s, oh, ow)
+                _accum(weight, (g2 @ cols.T).reshape(oc, c, kh, kw))
             if x.needs_grad:
-                dwin = np.tensordot(g, weight.data, axes=(1, 0))  # (b,oh,ow,c,kh,kw)
-                dwin = dwin.transpose(0, 3, 1, 2, 4, 5)
+                dcols = (w2.T @ g2).reshape(c, kh, kw, b, oh, ow)
                 dxp = np.zeros_like(xp)
                 for i in range(kh):
                     hi = i + s * (oh - 1) + 1
                     for j in range(kw):
                         wj = j + s * (ow - 1) + 1
-                        dxp[:, :, i:hi:s, j:wj:s] += dwin[:, :, :, :, i, j]
-                _accum(x, dxp[:, :, p:p + h, p:p + w] if p else dxp)
+                        dxp[:, :, i:hi:s, j:wj:s] += dcols[:, i, j]
+                _accum(x, dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
         tape.record("conv2d", (x, weight, bias), out, bwd)
     return out
 

@@ -1,6 +1,13 @@
 """Tensor/tape primitives: forward values, backward rules against finite
 differences, optimizer behaviour, RNG determinism, checkpoint format."""
 
+import gc as pygc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,6 +88,141 @@ class TestConv2d:
             return gc.reduce_mean(tape, gc.mul(tape, out, gc.Tensor(probe)))
         err = check_gradients(build, [x, w, b], rng.spawn("s"))
         assert err < 1e-4
+
+
+def naive_conv2d(x, w, b, stride, padding):
+    """Loop-by-loop cross-correlation and its gradients for an upstream
+    gradient g; returns (forward, backward) where backward(g) -> (dx, dw, db)."""
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    y = np.zeros((n, oc, oh, ow))
+    for bi in range(n):
+        for o in range(oc):
+            for r in range(oh):
+                for q in range(ow):
+                    acc = b[0, o, 0, 0]
+                    for ci in range(c):
+                        for i in range(kh):
+                            for j in range(kw):
+                                acc += xp[bi, ci, r * stride + i, q * stride + j] * w[o, ci, i, j]
+                    y[bi, o, r, q] = acc
+
+    def backward(g):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(w)
+        db = np.zeros_like(b)
+        for bi in range(n):
+            for o in range(oc):
+                for r in range(oh):
+                    for q in range(ow):
+                        db[0, o, 0, 0] += g[bi, o, r, q]
+                        for ci in range(c):
+                            for i in range(kh):
+                                for j in range(kw):
+                                    hh, ww = r * stride + i, q * stride + j
+                                    dxp[bi, ci, hh, ww] += g[bi, o, r, q] * w[o, ci, i, j]
+                                    dw[o, ci, i, j] += g[bi, o, r, q] * xp[bi, ci, hh, ww]
+        dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+        return dx, dw, db
+
+    return y, backward
+
+
+class TestConv2dReference:
+    """conv2d against naive nested loops, forward and all three gradients."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("oc", [1, 3])
+    @pytest.mark.parametrize("hw", [(7, 5), (8, 6)])
+    def test_matches_nested_loops(self, stride, padding, k, oc, hw):
+        rng = gc.Rng(gc.derive_seed(stride, padding, k, oc, *hw))
+        x = t4(rng.fill_uniform((2, 2, *hw), -1, 1), requires_grad=True)
+        w = t4(rng.fill_uniform((oc, 2, k, k), -1, 1), requires_grad=True)
+        b = t4(rng.fill_uniform((1, oc, 1, 1), -1, 1), requires_grad=True)
+        tape = gc.Tape()
+        out = gc.conv2d(tape, x, w, b, stride=stride, padding=padding)
+        want, naive_backward = naive_conv2d(x.data, w.data, b.data, stride, padding)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+        g = rng.fill_uniform(out.shape, -1, 1)
+        gc.backward(sum_all(tape, gc.mul(tape, out, gc.Tensor(g))))
+        dx, dw, db = naive_backward(g)
+        np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, db, rtol=0, atol=1e-12)
+
+    def test_stride_two_drops_last_row(self):
+        # 8 rows, k=3, no padding, stride 2: windows start at rows 0, 2, 4;
+        # row 7 is read by none, so its gradient is exactly zero.
+        x = t4(np.ones((1, 1, 8, 5)), requires_grad=True)
+        w = t4(np.ones((1, 1, 3, 3)), requires_grad=True)
+        b = t4(np.zeros((1, 1, 1, 1)), requires_grad=True)
+        tape = gc.Tape()
+        out = gc.conv2d(tape, x, w, b, stride=2, padding=0)
+        assert out.shape == (1, 1, 3, 2)
+        gc.backward(sum_all(tape, out))
+        np.testing.assert_array_equal(x.grad[0, 0, 7], np.zeros(5))
+        assert x.grad[0, 0, 6].sum() > 0
+
+
+# Runs every conv of the default-config network (inputs drawn per conv,
+# weights from the initialised store) forward and backward, and prints one
+# sha256 per conv over the output and the three gradients.
+_CONV_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from aced import cli, gradcore as gc, network
+
+cfg = cli.load_config(seed=0)
+net = cfg.network_config()
+params = network.init_params(net, gc.Rng(0))
+names = {id(t): n[:-2] for n, t in params.items()}
+calls = []
+real = network.conv2d
+
+def spy(tape, x, w, b, stride=1, padding=0):
+    calls.append((names[id(w)], x.shape, w, b, stride, padding))
+    return real(tape, x, w, b, stride, padding)
+
+network.conv2d = spy
+image = gc.Tensor(gc.Rng(1).fill_uniform((cfg.batch_size, net.input_channels, net.height, net.width)))
+network.forward(None, image, params, net, cfg.thresholds())
+for name, shape, w, b, stride, padding in calls:
+    rng = gc.Rng(gc.derive_seed(2, name))
+    x = gc.Tensor(rng.fill_uniform(shape, -1, 1), requires_grad=True)
+    tape = gc.Tape()
+    out = real(tape, x, w, b, stride, padding)
+    probe = gc.Tensor(rng.fill_uniform(out.shape, -1, 1))
+    gc.backward(gc.reduce_mean(tape, gc.mul(tape, out, probe)))
+    h = hashlib.sha256()
+    for a in (out.data, x.grad, w.grad, b.grad):
+        h.update(np.ascontiguousarray(a).tobytes())
+    print(name, h.hexdigest())
+"""
+
+
+def _conv_hashes(threads: int) -> str:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _CONV_HASH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_conv_results_do_not_depend_on_blas_threads():
+    one, two = _conv_hashes(1), _conv_hashes(2)
+    assert len(one.splitlines()) == 23  # every conv of the network
+    assert one == two
 
 
 class TestUpsample:
@@ -227,6 +369,42 @@ class TestBackward:
             gc.backward(loss)
         tape.reset()
         assert len(tape) == 0
+
+    def test_backward_releases_the_graph(self):
+        x = t4(np.ones((1, 1, 2, 2)), requires_grad=True)
+        tape = gc.Tape()
+        loss = sum_all(tape, gc.relu(tape, x))
+        assert len(tape) > 0
+        gc.backward(loss)
+        assert len(tape) == 0
+        with pytest.raises(gc.TapeError, match="reset"):
+            gc.backward(loss)
+
+    def test_step_graph_dies_without_the_cycle_collector(self):
+        # Every recorded output points to its tape; once backward has run,
+        # the tape must no longer point back, so dropping the step's
+        # references frees it by reference counting alone.
+        from aced import cli, network
+
+        cfg = cli.load_config(sets=["image_h=16", "image_w=16", "k=4", "base_width=2",
+                                    "fusion_width=4", "batch_size=2"], seed=0)
+        net = cfg.network_config()
+        params = network.init_params(net, gc.Rng(0))
+        image = gc.Tensor(gc.Rng(1).fill_uniform((2, net.input_channels, net.height, net.width)))
+        was_enabled = pygc.isenabled()
+        pygc.disable()
+        try:
+            tape = gc.Tape()
+            out = network.forward(tape, image, params, net, cfg.thresholds())
+            loss = sum_all(tape, out.refined)
+            gc.backward(loss)
+            dead_tape, dead_loss = weakref.ref(tape), weakref.ref(loss.data)
+            del tape, out, loss
+            assert dead_tape() is None
+            assert dead_loss() is None
+        finally:
+            if was_enabled:
+                pygc.enable()
 
     def test_mixing_tapes_rejected(self):
         x = t4(np.ones((1, 1, 1, 1)), requires_grad=True)
