@@ -20,7 +20,7 @@ from .gradcore import (
 )
 from .losses import LossWeights, loss_grad, loss_log, total_loss
 from .metrics import MetricReport, compute_dde, compute_metrics
-from .network import NetworkConfig, forward, init_params, parameter_count
+from .network import NetworkConfig, forward, init_params
 from .ordhead import confidence, expected_label, ordinal_loss, pair_softmax, soft_decode
 from .sid import (
     DepthRange,

@@ -45,7 +45,7 @@ from .gradcore import (
     save_checkpoint,
     scale,
 )
-from .losses import LossWeights, loss_grad, loss_log, total_loss
+from .losses import LossWeights, total_loss
 from .metrics import MetricsError, compute_metrics
 from .network import NetworkConfig, decode_to_logits, encode, forward, init_params
 from .ordhead import ordinal_loss, pair_softmax
@@ -129,9 +129,6 @@ class RunConfig:
             if k == name:
                 return v
         raise AttributeError(name)
-
-    def get(self, key):
-        return getattr(self, key)
 
     def resolved_crop(self) -> tuple[int, int]:
         ch = self.crop_h or self.image_h
@@ -304,19 +301,14 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
             if cfg.mode == "baseline":
                 feats = encode(tape, image, params, net_cfg)
                 probs = pair_softmax(tape, decode_to_logits(tape, feats, params, net_cfg))
-                loss = scale(tape, ordinal_loss(tape, probs, target, mask), cfg.w_ord)
-                parts = {"loss_ord": ordinal_loss(None, probs, target, mask).item(),
-                         "loss_log": 0.0, "loss_grad": 0.0}
+                term = ordinal_loss(tape, probs, target, mask)
+                loss = scale(tape, term, cfg.w_ord)
+                parts = {"loss_ord": term.item(), "loss_log": 0.0, "loss_grad": 0.0}
             else:
                 out = forward(tape, image, params, net_cfg, th,
                               detach_confidence=cfg.detach_confidence)
-                loss = total_loss(tape, out.probs, target, out.coarse, out.refined,
-                                  depth_gt, mask, weights)
-                parts = {
-                    "loss_ord": ordinal_loss(None, out.probs, target, mask).item(),
-                    "loss_log": loss_log(None, out.refined, depth_gt, mask).item(),
-                    "loss_grad": loss_grad(None, out.refined, depth_gt, mask).item(),
-                }
+                loss, parts = total_loss(tape, out.probs, target, out.refined,
+                                         depth_gt, mask, weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericalFailure(

@@ -67,11 +67,7 @@ class SceneSpec:
     depth_range: DepthRange
     min_objects: int = 2
     max_objects: int = 5
-    shapes: tuple[str, ...] = ("rect", "ellipse")
     noise: float = 0.02
-    # Background ramp endpoints (top row, bottom row); default spans the range.
-    bg_near: float | None = None
-    bg_far: float | None = None
 
     def __post_init__(self):
         if self.height % 16 != 0 or self.width % 16 != 0:
@@ -79,13 +75,8 @@ class SceneSpec:
         if self.min_objects < 0 or self.max_objects < self.min_objects:
             raise ValueError("need 0 <= min_objects <= max_objects")
 
-    def bg_endpoints(self) -> tuple[float, float]:
-        near = self.depth_range.alpha if self.bg_near is None else self.bg_near
-        far = self.depth_range.beta if self.bg_far is None else self.bg_far
-        r = self.depth_range
-        if not (r.alpha <= near <= r.beta and r.alpha <= far <= r.beta):
-            raise ValueError("background endpoints outside the depth range")
-        return near, far
+
+_SHAPES = ("rect", "ellipse")
 
 
 @dataclass(frozen=True)
@@ -137,10 +128,9 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
     and every image value in [0, 1]."""
     rng = Rng(derive_seed(spec.seed, "scene", index))
     h, w = spec.height, spec.width
-    alpha = spec.depth_range.alpha
-    near, far = spec.bg_endpoints()
+    alpha, beta = spec.depth_range.alpha, spec.depth_range.beta
 
-    rows = near + (far - near) * (np.arange(h) / max(h - 1, 1))
+    rows = alpha + (beta - alpha) * (np.arange(h) / max(h - 1, 1))
     depth = np.broadcast_to(rows.reshape(1, h, 1), (1, h, w)).copy()
 
     base = rng.uniform(0.55, 0.85)
@@ -150,12 +140,12 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
 
     objects = []
     for _ in range(rng.randint(spec.min_objects, spec.max_objects)):
-        kind = spec.shapes[rng.randint(0, len(spec.shapes) - 1)]
+        kind = _SHAPES[rng.randint(0, len(_SHAPES) - 1)]
         cy = rng.uniform(0, h - 1)
         cx = rng.uniform(0, w - 1)
         ry = rng.uniform(h / 10.0, h / 3.0)
         rx = rng.uniform(w / 10.0, w / 3.0)
-        d = rng.uniform(spec.depth_range.alpha, spec.depth_range.beta)
+        d = rng.uniform(alpha, beta)
         alb = tuple(rng.uniform(0.45, 0.95) for _ in range(3))
         objects.append(SceneObject(kind, cy, cx, ry, rx, d, alb))
     render_objects(depth, albedo, objects)

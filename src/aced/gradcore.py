@@ -32,16 +32,11 @@ __all__ = [
     "derive_seed",
     "scalar",
     "add",
-    "sub",
-    "mul",
     "scale",
     "relu",
-    "sigmoid",
-    "log",
     "concat_channels",
     "upsample_nearest",
     "conv2d",
-    "reduce_mean",
     "backward",
     "adam_step",
     "poly_lr",
@@ -163,14 +158,13 @@ class Rng:
 class Tensor:
     """Dense (batch, channel, height, width) float64 array on a tape."""
 
-    __slots__ = ("data", "requires_grad", "needs_grad", "grad", "tape")
+    __slots__ = ("data", "needs_grad", "grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeMismatchError(f"tensor must be rank 4, got shape {arr.shape}")
         self.data = arr
-        self.requires_grad = requires_grad
         # True when gradients must flow through this tensor (leaf parameters
         # and anything computed from one).
         self.needs_grad = requires_grad
@@ -191,7 +185,7 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
 
 
 def scalar(value: float) -> Tensor:
@@ -308,28 +302,6 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    if _want(tape, a, b):
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, -g)
-        tape.record("sub", (a, b), out, bwd)
-    return out
-
-
-def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
-    if _want(tape, a, b):
-        def bwd(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-        tape.record("mul", (a, b), out, bwd)
-    return out
-
-
 def scale(tape: Tape | None, x: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(x.data * c)
@@ -347,40 +319,6 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
         def bwd(g):
             _accum(x, g * pos)
         tape.record("relu", (x,), out, bwd)
-    return out
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    y = _stable_sigmoid(x.data)
-    out = Tensor(y)
-    if _want(tape, x):
-        def bwd(g):
-            _accum(x, g * y * (1.0 - y))
-        tape.record("sigmoid", (x,), out, bwd)
-    return out
-
-
-def log(tape: Tape | None, x: Tensor) -> Tensor:
-    if x.data.min() <= 0.0:
-        b, c, h, w = np.argwhere(x.data <= 0.0)[0]
-        raise DomainError(
-            f"log of non-positive value {x.data[b, c, h, w]!r} at "
-            f"(batch={b}, channel={c}, h={h}, w={w})"
-        )
-    out = Tensor(np.log(x.data))
-    if _want(tape, x):
-        def bwd(g):
-            _accum(x, g / x.data)
-        tape.record("log", (x,), out, bwd)
     return out
 
 
@@ -505,41 +443,6 @@ def conv2d(
     return out
 
 
-def reduce_mean(tape: Tape | None, x: Tensor, mask=None) -> Tensor:
-    """Mean over all entries, or over entries where the spatial mask is 1.
-
-    A mask has shape (batch, 1, H, W) with values in {0, 1} and broadcasts
-    over channels; it must select at least one pixel.
-    """
-    b, c, h, w = x.shape
-    if mask is None:
-        count = float(x.data.size)
-        out = Tensor(np.full((1, 1, 1, 1), x.data.sum() / count))
-        if _want(tape, x):
-            def bwd(g):
-                _accum(x, np.full_like(x.data, float(g.reshape(())) / count))
-            tape.record("reduce_mean", (x,), out, bwd)
-        return out
-
-    m = mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
-    if m.shape != (b, 1, h, w) and m.shape != x.shape:
-        raise ShapeMismatchError(
-            f"reduce_mean: mask shape {m.shape} incompatible with input {x.shape}"
-        )
-    if not np.all((m == 0.0) | (m == 1.0)):
-        raise DomainError("reduce_mean: mask values must be 0 or 1")
-    selected = m.sum()
-    if selected == 0:
-        raise DomainError("reduce_mean: mask selects no entries")
-    count = float(selected) * (c if m.shape[1] == 1 else 1)
-    out = Tensor(np.full((1, 1, 1, 1), (x.data * m).sum() / count))
-    if _want(tape, x):
-        def bwd(g):
-            _accum(x, (float(g.reshape(())) / count) * np.broadcast_to(m, x.shape))
-        tape.record("reduce_mean", (x,), out, bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parameters, optimizer, schedule
 # ---------------------------------------------------------------------------
@@ -558,19 +461,12 @@ class ParamStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
         t.needs_grad = True
         self._params[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -581,9 +477,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
-
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 def adam_step(

@@ -133,24 +133,29 @@ def total_loss(
     tape: Tape | None,
     probs: Tensor,
     target: np.ndarray,
-    coarse: Tensor,
     refined: Tensor,
     depth_gt,
     mask,
     weights: LossWeights,
-) -> Tensor:
-    """w_ord * ordinal + w_log * log-loss(refined) + w_grad * grad-loss(refined).
+) -> tuple[Tensor, dict[str, float]]:
+    """w_ord * ordinal + w_log * log-loss(refined) + w_grad * grad-loss(refined),
+    summed in that order, and the unweighted terms keyed loss_ord, loss_log
+    and loss_grad.
 
-    The coarse branch is trained by the ordinal term alone; `coarse` stays in
-    the signature for symmetry but carries no extra loss.
+    The coarse depth is trained by the ordinal term alone. A term whose
+    weight is 0 is evaluated off the tape: it is reported but adds nothing
+    to the loss and records no node.
     """
     out = None
-    if weights.w_ord != 0.0:
-        out = scale(tape, ordinal_loss(tape, probs, target, mask), weights.w_ord)
-    if weights.w_log != 0.0:
-        term = scale(tape, loss_log(tape, refined, depth_gt, mask), weights.w_log)
-        out = term if out is None else add(tape, out, term)
-    if weights.w_grad != 0.0:
-        term = scale(tape, loss_grad(tape, refined, depth_gt, mask), weights.w_grad)
-        out = term if out is None else add(tape, out, term)
-    return out
+    parts = {}
+    for key, w, term_fn, pred, gt in (
+        ("loss_ord", weights.w_ord, ordinal_loss, probs, target),
+        ("loss_log", weights.w_log, loss_log, refined, depth_gt),
+        ("loss_grad", weights.w_grad, loss_grad, refined, depth_gt),
+    ):
+        term = term_fn(tape if w != 0.0 else None, pred, gt, mask)
+        parts[key] = term.item()
+        if w != 0.0:
+            weighted = scale(tape, term, w)
+            out = weighted if out is None else add(tape, out, weighted)
+    return out, parts

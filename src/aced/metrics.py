@@ -69,18 +69,10 @@ def compute_metrics(d, d_gt, mask=None, plane_depth: float = 3.0) -> MetricRepor
     )
 
 
-def compute_dde(d, d_gt, mask=None, plane_depth: float = 3.0, detailed: bool = False):
+def compute_dde(d, d_gt, mask=None, plane_depth: float = 3.0) -> float:
     """Percent of pixels whose prediction falls on the same side of the
-    reference plane as the ground truth. With detailed=True also returns the
-    over- and under-estimation percentages (predicted beyond the plane while
-    the truth is within, and vice versa).
-    """
+    reference plane as the ground truth."""
     dv, gv = _masked(d, d_gt, mask)
     pred_near = dv <= plane_depth
     gt_near = gv <= plane_depth
-    correct = 100.0 * float((pred_near == gt_near).mean())
-    if not detailed:
-        return correct
-    over = 100.0 * float((~pred_near & gt_near).mean())
-    under = 100.0 * float((pred_near & ~gt_near).mean())
-    return correct, over, under
+    return 100.0 * float((pred_near == gt_near).mean())

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .gradcore import (
     ParamStore,
     Rng,
@@ -33,7 +31,6 @@ __all__ = [
     "ForwardResult",
     "stage_widths",
     "init_params",
-    "parameter_count",
     "encode",
     "decode_to_logits",
     "fuse_multiscale",
@@ -108,11 +105,6 @@ def _conv_specs(config: NetworkConfig):
     specs.append(("refine.conv1", config.fusion_width, config.fusion_width + 2, 3))
     specs.append(("refine.conv2", 1, config.fusion_width, 3))
     return specs
-
-
-def parameter_count(config: NetworkConfig) -> int:
-    """Total scalar parameters: sum over convolutions of outC*inC*k*k + outC."""
-    return sum(oc * ic * k * k + oc for _, oc, ic, k in _conv_specs(config))
 
 
 def init_params(config: NetworkConfig, rng: Rng) -> ParamStore:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradcore import DomainError, ShapeMismatchError, Tape, Tensor, _accum, _stable_sigmoid
+from .gradcore import DomainError, ShapeMismatchError, Tape, Tensor, _accum
 from .sid import SidThresholds, label_to_depth_op
 
 __all__ = [
@@ -23,6 +23,15 @@ __all__ = [
 # Probabilities are clamped into [eps, 1-eps] before logarithms; the clamp
 # gradient is identity strictly inside the interval and zero outside.
 PROB_CLAMP_EPS = 1e-7
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def pair_softmax(tape: Tape | None, logits: Tensor) -> Tensor:

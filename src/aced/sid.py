@@ -18,7 +18,6 @@ from .gradcore import DomainError, Tape, Tensor, _accum
 __all__ = [
     "DepthRange",
     "SidThresholds",
-    "LabelMap",
     "make_thresholds",
     "depth_to_label",
     "label_to_depth",
@@ -68,14 +67,6 @@ def make_thresholds(range_: DepthRange, k_levels: int) -> SidThresholds:
     return SidThresholds(range=range_, k_levels=k_levels, thresholds=t)
 
 
-@dataclass
-class LabelMap:
-    """Integer depth labels in [0, K-1] plus a validity mask, both (B,1,H,W)."""
-
-    labels: np.ndarray
-    mask: np.ndarray
-
-
 def depth_to_label(depth, th: SidThresholds):
     """Smallest l with depth <= t_{l+1}; clamps below alpha to 0, above beta to K-1."""
     arr = np.asarray(depth, dtype=np.float64)
@@ -113,7 +104,7 @@ def label_to_depth_op(tape: Tape | None, p: Tensor, th: SidThresholds) -> Tensor
 
 def encode_rank(labels, k_levels: int) -> np.ndarray:
     """Per-pixel cumulative rank bits: bit k is 1 iff label > k (length K-1)."""
-    lab = labels.labels if isinstance(labels, LabelMap) else np.asarray(labels)
+    lab = np.asarray(labels)
     if lab.ndim != 4 or lab.shape[1] != 1:
         raise ValueError(f"labels must be (B,1,H,W), got {lab.shape}")
     if lab.min() < 0 or lab.max() > k_levels - 1:

@@ -1,6 +1,6 @@
 import pytest
 
-from aced import cli
+from aced import cli, gradcore
 
 # Small-everything config used by the CLI tests: 16x16 scenes, K=4, tiny
 # widths, a handful of iterations.
@@ -28,3 +28,15 @@ def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_data")
     manifest = cli.cmd_gen_data(cfg, out)
     return cfg, manifest
+
+
+class RecordingTape(gradcore.Tape):
+    """Tape that also keeps the name of every node it records."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def record(self, name, inputs, output, backward_fn):
+        self.names.append(name)
+        super().record(name, inputs, output, backward_fn)

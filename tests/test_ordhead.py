@@ -1,6 +1,5 @@
 """Paired softmax, ordinal loss, expected-label decode, confidence map."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aced import gradcore as gc
-from aced.gradcheck import check_gradients
+from aced.gradcheck import check_gradients, project
 from aced.ordhead import (
     PROB_CLAMP_EPS,
     confidence,
@@ -65,6 +64,15 @@ class TestPairSoftmax:
         out = pair_softmax(None, gc.Tensor(z))
         np.testing.assert_allclose(out.item(), 1.0 / (1.0 + math.exp(-10.0)), rtol=1e-15)
 
+    def test_stable_at_extreme_logit_differences(self):
+        # z_{2k+1} - z_{2k} of -800 and +800: exp would overflow unguarded.
+        z = np.zeros((1, 4, 1, 1))
+        z[0, 1] = -800.0
+        z[0, 3] = 800.0
+        out = pair_softmax(None, gc.Tensor(z))
+        assert np.all(np.isfinite(out.data))
+        assert out.data[0, 0, 0, 0] == 0.0 and out.data[0, 1, 0, 0] == 1.0
+
     def test_odd_channel_count_rejected(self):
         with pytest.raises(gc.ShapeMismatchError, match="odd"):
             pair_softmax(None, gc.Tensor(np.zeros((1, 3, 1, 1))))
@@ -74,7 +82,7 @@ class TestPairSoftmax:
         z = gc.Tensor(rng.fill_uniform((1, 6, 3, 3), -2, 2), requires_grad=True)
         probe = rng.fill_uniform((1, 3, 3, 3))
         def build(tape):
-            return gc.reduce_mean(tape, gc.mul(tape, pair_softmax(tape, z), gc.Tensor(probe)))
+            return project(tape, pair_softmax(tape, z), probe)
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
 
@@ -219,7 +227,7 @@ class TestConfidence:
         def build(tape):
             probs = pair_softmax(tape, z)
             p = expected_label(tape, probs)
-            return gc.reduce_mean(tape, gc.mul(tape, confidence(tape, probs, p), gc.Tensor(probe)))
+            return project(tape, confidence(tape, probs, p), probe)
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
 
@@ -248,7 +256,7 @@ class TestSoftDecode:
         probe = rng.fill_uniform((1, 1, 3, 3))
         def build(tape):
             d = soft_decode(tape, pair_softmax(tape, z), TH4)
-            return gc.reduce_mean(tape, gc.mul(tape, d, gc.Tensor(probe)))
+            return project(tape, d, probe)
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
     @given(arrays(np.float64, (3,), elements=st.floats(0.0, 1.0)))

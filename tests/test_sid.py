@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from aced import gradcore as gc
 from aced.sid import (
     DepthRange,
-    LabelMap,
     depth_to_label,
     encode_rank,
     hard_decode,
@@ -117,11 +116,6 @@ class TestEncodeRank:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="label out of range"):
             encode_rank(np.full((1, 1, 1, 1), 7, dtype=np.int64), 5)
-
-    def test_accepts_label_map(self):
-        lm = LabelMap(labels=np.full((1, 1, 1, 1), 2, dtype=np.int64),
-                      mask=np.ones((1, 1, 1, 1)))
-        np.testing.assert_array_equal(encode_rank(lm, 4).reshape(-1), [1, 1, 0])
 
     @given(label=st.integers(0, 15), k=st.integers(2, 16))
     @settings(max_examples=60)
