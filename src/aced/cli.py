@@ -102,7 +102,6 @@ _SCHEMA: dict[str, tuple] = {
     "batch_size": (int, 8),
     "seed": (int, 0),
     "mode": (str, "aced"),
-    "detach_confidence": (_parse_bool, False),
     "w_ord": (float, 1.0),
     "w_log": (float, 1.0),
     "w_grad": (float, 1.0),
@@ -227,6 +226,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"crop ({ch}x{cw}) exceeds image ({cfg.image_h}x{cfg.image_w})")
     if cfg.mode not in ("baseline", "aced"):
         raise ConfigError(f"mode must be 'baseline' or 'aced', got {cfg.mode!r}")
+    if cfg.mode == "baseline" and cfg.w_ord == 0:
+        raise ConfigError("w_ord must be positive in mode 'baseline', which trains the "
+                          "ordinal term alone")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if cfg.max_iter < 0:
@@ -264,8 +266,7 @@ def _split_pairs(cfg: RunConfig, pairs, split: str):
 def _stack_batch(samples):
     image = Tensor(np.stack([s.image for s in samples]))
     depth = np.stack([s.depth for s in samples])
-    mask = np.stack([s.mask for s in samples])
-    return image, depth, mask
+    return image, depth
 
 
 def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> Path:
@@ -294,21 +295,20 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
             batch = [samples[(it * cfg.batch_size + j) % n] for j in range(cfg.batch_size)]
             if cfg.augment:
                 batch = [augment(s, rng_aug, crop_h, crop_w) for s in batch]
-            image, depth_gt, mask = _stack_batch(batch)
+            image, depth_gt = _stack_batch(batch)
             target = encode_rank(depth_to_label(depth_gt, th), cfg.k)
 
             tape = Tape()
             if cfg.mode == "baseline":
                 feats = encode(tape, image, params, net_cfg)
                 probs = pair_softmax(tape, decode_to_logits(tape, feats, params, net_cfg))
-                term = ordinal_loss(tape, probs, target, mask)
+                term = ordinal_loss(tape, probs, target)
                 loss = scale(tape, term, cfg.w_ord)
                 parts = {"loss_ord": term.item(), "loss_log": 0.0, "loss_grad": 0.0}
             else:
-                out = forward(tape, image, params, net_cfg, th,
-                              detach_confidence=cfg.detach_confidence)
+                out = forward(tape, image, params, net_cfg, th)
                 loss, parts = total_loss(tape, out.probs, target, out.refined,
-                                         depth_gt, mask, weights)
+                                         depth_gt, weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericalFailure(
@@ -346,7 +346,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     sums: dict[str, dict] = {}
     for img_path, dep_path in pairs:
         sample = read_sample(img_path, dep_path)
-        image, depth_gt, mask = _stack_batch([sample])
+        image, depth_gt = _stack_batch([sample])
         out = forward(None, image, params, net_cfg, th)
         decoded = {
             "coarse": out.coarse.data,
@@ -354,7 +354,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
             "hard": hard_decode(out.probs, th),
         }
         for kind, d in decoded.items():
-            rep = compute_metrics(d, depth_gt, mask, cfg.plane_depth).to_dict()
+            rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
             lines.append({"image": Path(img_path).name, "output": kind, **rep})
             agg = sums.setdefault(kind, {"n": 0, "rel": 0.0, "log10": 0.0, "mse": 0.0,
                                          "delta1": 0.0, "delta2": 0.0, "delta3": 0.0,

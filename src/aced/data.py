@@ -9,7 +9,7 @@ seeded noise), so depth is inferable from appearance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +92,11 @@ class SceneObject:
 
 @dataclass
 class SceneSample:
-    """Image in [0,1], metric depth in [alpha, beta], validity mask (all 1
-    for synthetic data). Shapes (3,H,W) and (1,H,W)."""
+    """Image in [0,1] and metric depth in [alpha, beta], shapes (3,H,W) and
+    (1,H,W). Every pixel carries a valid depth."""
 
     image: np.ndarray
     depth: np.ndarray
-    mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones_like(self.depth)
 
 
 def render_objects(depth: np.ndarray, albedo: np.ndarray, objects) -> None:
@@ -172,7 +167,8 @@ def apply_augment(
     color: tuple[float, float, float],
 ) -> SceneSample:
     """Crop then photometric ops; identity parameters return the sample
-    values unchanged. Depth and mask are only ever cropped."""
+    values (the image to within the rounding of the contrast step, which
+    recentres on the mean). Depth is only ever cropped."""
     _, h, w = sample.image.shape
     if crop_h > h or crop_w > w:
         raise ValueError(f"crop ({crop_h}x{crop_w}) larger than image ({h}x{w})")
@@ -185,7 +181,6 @@ def apply_augment(
     return SceneSample(
         image=np.clip(img, 0.0, 1.0),
         depth=sample.depth[:, sl[0], sl[1]].copy(),
-        mask=sample.mask[:, sl[0], sl[1]].copy(),
     )
 
 

@@ -180,10 +180,6 @@ class Tensor:
             raise ShapeMismatchError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detached(self) -> "Tensor":
-        """Copy of the values with no tape history and no gradient flow."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
 

@@ -9,15 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import (
-    DomainError,
-    ShapeMismatchError,
-    Tape,
-    Tensor,
-    _accum,
-    add,
-    scale,
-)
+from .gradcore import ShapeMismatchError, Tape, Tensor, _accum, add, scale
 from .ordhead import ordinal_loss
 
 __all__ = ["LossWeights", "loss_log", "loss_grad", "total_loss"]
@@ -36,34 +28,18 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def _check_mask(d: Tensor, mask) -> np.ndarray:
-    b, _, h, w = d.shape
-    m = np.asarray(mask, dtype=np.float64) if mask is not None else np.ones((b, 1, h, w))
-    if m.shape != (b, 1, h, w):
-        raise ShapeMismatchError(f"mask shape {m.shape} != ({b},1,{h},{w})")
-    if m.sum() == 0:
-        raise DomainError("all pixels masked out")
-    return m
-
-
-def loss_log(tape: Tape | None, d: Tensor, d_gt, mask=None) -> Tensor:
-    """Masked mean of ln(|D - Dgt| + 0.5); |.| uses subgradient 0 at 0."""
-    gt = _as_array(d_gt)
-    if gt.shape != d.shape:
-        raise ShapeMismatchError(f"loss_log: shapes {d.shape} and {gt.shape} differ")
-    m = _check_mask(d, mask)
-    count = m.sum()
-    err = d.data - gt
+def loss_log(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
+    """Mean over pixels of ln(|D - Dgt| + 0.5); |.| uses subgradient 0 at 0."""
+    if d_gt.shape != d.shape:
+        raise ShapeMismatchError(f"loss_log: shapes {d.shape} and {d_gt.shape} differ")
+    count = float(d.data.size)
+    err = d.data - d_gt
     abs_off = np.abs(err) + 0.5
-    out = Tensor(np.full((1, 1, 1, 1), (np.log(abs_off) * m).sum() / count))
+    out = Tensor(np.full((1, 1, 1, 1), np.log(abs_off).sum() / count))
     if tape is not None and d.needs_grad:
         def bwd(g):
             gs = float(g.reshape(())) / count
-            _accum(d, gs * m * np.sign(err) / abs_off)
+            _accum(d, gs * np.sign(err) / abs_off)
         tape.record("loss_log", (d,), out, bwd)
     return out
 
@@ -78,46 +54,30 @@ def _forward_diff(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _diff_mask(m: np.ndarray, axis: int) -> np.ndarray:
-    """A difference is valid only if both stencil pixels are; at the edge the
-    stencil degenerates to the pixel itself."""
-    shifted = m.copy()
-    if axis == 3:
-        shifted[:, :, :, :-1] = m[:, :, :, 1:]
-    else:
-        shifted[:, :, :-1, :] = m[:, :, 1:, :]
-    return m * shifted
-
-
-def loss_grad(tape: Tape | None, d: Tensor, d_gt, mask=None) -> Tensor:
+def loss_grad(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
     """Log-absolute loss on forward-difference gradients along x and y.
 
-    Each direction is a masked mean over the pixels whose difference stencil
-    is fully valid; a direction with no valid stencils contributes 0.
+    Each direction is a mean over all pixels. The last column (x) or row (y)
+    has a zero difference in both maps, so it contributes ln(0.5) and
+    counts in the mean.
     """
-    gt = _as_array(d_gt)
-    if gt.shape != d.shape:
-        raise ShapeMismatchError(f"loss_grad: shapes {d.shape} and {gt.shape} differ")
-    m = _check_mask(d, mask)
-
+    if d_gt.shape != d.shape:
+        raise ShapeMismatchError(f"loss_grad: shapes {d.shape} and {d_gt.shape} differ")
+    count = float(d.data.size)
     total = 0.0
-    terms = []  # (axis, mask, count, err, abs_off)
+    terms = []  # (axis, err, abs_off)
     for axis in (3, 2):  # x then y
-        dm = _diff_mask(m, axis)
-        count = dm.sum()
-        if count == 0:
-            continue
-        err = _forward_diff(d.data, axis) - _forward_diff(gt, axis)
+        err = _forward_diff(d.data, axis) - _forward_diff(d_gt, axis)
         abs_off = np.abs(err) + 0.5
-        total += (np.log(abs_off) * dm).sum() / count
-        terms.append((axis, dm, count, err, abs_off))
+        total += np.log(abs_off).sum() / count
+        terms.append((axis, err, abs_off))
     out = Tensor(np.full((1, 1, 1, 1), total))
     if tape is not None and d.needs_grad:
         def bwd(g):
             gs = float(g.reshape(()))
             acc = np.zeros_like(d.data)
-            for axis, dm, count, err, abs_off in terms:
-                u = (gs / count) * dm * np.sign(err) / abs_off
+            for axis, err, abs_off in terms:
+                u = (gs / count) * np.sign(err) / abs_off
                 if axis == 3:
                     acc[:, :, :, 1:] += u[:, :, :, :-1]
                     acc[:, :, :, :-1] -= u[:, :, :, :-1]
@@ -134,8 +94,7 @@ def total_loss(
     probs: Tensor,
     target: np.ndarray,
     refined: Tensor,
-    depth_gt,
-    mask,
+    depth_gt: np.ndarray,
     weights: LossWeights,
 ) -> tuple[Tensor, dict[str, float]]:
     """w_ord * ordinal + w_log * log-loss(refined) + w_grad * grad-loss(refined),
@@ -153,7 +112,7 @@ def total_loss(
         ("loss_log", weights.w_log, loss_log, refined, depth_gt),
         ("loss_grad", weights.w_grad, loss_grad, refined, depth_gt),
     ):
-        term = term_fn(tape if w != 0.0 else None, pred, gt, mask)
+        term = term_fn(tape if w != 0.0 else None, pred, gt)
         parts[key] = term.item()
         if w != 0.0:
             weighted = scale(tape, term, w)

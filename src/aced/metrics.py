@@ -9,9 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gradcore import Tensor
-
-__all__ = ["MetricsError", "MetricReport", "compute_metrics", "compute_dde"]
+__all__ = ["MetricsError", "MetricReport", "compute_metrics"]
 
 
 class MetricsError(Exception):
@@ -33,28 +31,15 @@ class MetricReport:
         return asdict(self)
 
 
-def _masked(d, d_gt, mask) -> tuple[np.ndarray, np.ndarray]:
-    da = d.data if isinstance(d, Tensor) else np.asarray(d, dtype=np.float64)
-    ga = d_gt.data if isinstance(d_gt, Tensor) else np.asarray(d_gt, dtype=np.float64)
-    if da.shape != ga.shape:
-        raise MetricsError(f"shape mismatch: {da.shape} vs {ga.shape}")
-    if mask is None:
-        sel = np.ones(da.shape, dtype=bool)
-    else:
-        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-        if m.shape != da.shape:
-            raise MetricsError(f"mask shape {m.shape} != {da.shape}")
-        sel = m > 0
-    if not sel.any():
-        raise MetricsError("empty mask")
-    dv, gv = da[sel], ga[sel]
+def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -> MetricReport:
+    """Every metric over all pixels of two same-shape positive depth maps.
+    DDE is the percent of pixels whose prediction falls on the same side of
+    the plane at plane_depth as the ground truth."""
+    if d.shape != d_gt.shape:
+        raise MetricsError(f"shape mismatch: {d.shape} vs {d_gt.shape}")
+    dv, gv = d.reshape(-1), d_gt.reshape(-1)
     if dv.min() <= 0 or gv.min() <= 0:
-        raise MetricsError("non-positive depth inside the mask")
-    return dv, gv
-
-
-def compute_metrics(d, d_gt, mask=None, plane_depth: float = 3.0) -> MetricReport:
-    dv, gv = _masked(d, d_gt, mask)
+        raise MetricsError("non-positive depth")
     ratio = np.maximum(dv / gv, gv / dv)
     deltas = [100.0 * float((ratio < 1.25**i).mean()) for i in (1, 2, 3)]
     return MetricReport(
@@ -64,15 +49,6 @@ def compute_metrics(d, d_gt, mask=None, plane_depth: float = 3.0) -> MetricRepor
         delta1=deltas[0],
         delta2=deltas[1],
         delta3=deltas[2],
-        dde=compute_dde(d, d_gt, mask, plane_depth),
+        dde=100.0 * float(((dv <= plane_depth) == (gv <= plane_depth)).mean()),
         pixel_count=int(dv.size),
     )
-
-
-def compute_dde(d, d_gt, mask=None, plane_depth: float = 3.0) -> float:
-    """Percent of pixels whose prediction falls on the same side of the
-    reference plane as the ground truth."""
-    dv, gv = _masked(d, d_gt, mask)
-    pred_near = dv <= plane_depth
-    gt_near = gv <= plane_depth
-    return 100.0 * float((pred_near == gt_near).mean())

@@ -180,7 +180,6 @@ def forward(
     params: ParamStore,
     config: NetworkConfig,
     th: SidThresholds,
-    detach_confidence: bool = False,
 ) -> ForwardResult:
     """One pass: encode, decode to rank probabilities, soft-decode coarse
     depth plus confidence, fuse multiscale features, refine."""
@@ -191,6 +190,5 @@ def forward(
     coarse = label_to_depth_op(tape, p, th)
     conf = confidence(tape, probs, p)
     fused = fuse_multiscale(tape, feats, params, config)
-    conf_in = conf.detached() if detach_confidence else conf
-    refined = refine(tape, coarse, conf_in, fused, params)
+    refined = refine(tape, coarse, conf, fused, params)
     return ForwardResult(coarse, conf, refined, probs)

@@ -59,14 +59,8 @@ def pair_softmax(tape: Tape | None, logits: Tensor) -> Tensor:
     return out
 
 
-def ordinal_loss(
-    tape: Tape | None,
-    probs: Tensor,
-    target: np.ndarray,
-    mask: np.ndarray | None = None,
-    eps: float = PROB_CLAMP_EPS,
-) -> Tensor:
-    """Masked mean over pixels of the per-pixel ordinal classification loss
+def ordinal_loss(tape: Tape | None, probs: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over pixels of the per-pixel ordinal classification loss
     -sum_{k<l} log P^k - sum_{k>=l} log(1 - P^k), with l the count of 1-bits
     in the target rank vector.
     """
@@ -76,27 +70,19 @@ def ordinal_loss(
         )
     if np.any(np.diff(target, axis=1) > 0):
         raise DomainError("ordinal_loss: target rank vectors must be non-increasing")
-    b, c, h, w = probs.shape
-    if mask is None:
-        m = np.ones((b, 1, h, w))
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        if m.shape != (b, 1, h, w):
-            raise ShapeMismatchError(f"ordinal_loss: mask shape {m.shape} != ({b},1,{h},{w})")
-    count = m.sum()
-    if count == 0:
-        raise DomainError("ordinal_loss: mask selects no pixels")
+    eps = PROB_CLAMP_EPS
     pc = np.clip(probs.data, eps, 1.0 - eps)
     per_pixel = -(target * np.log(pc) + (1.0 - target) * np.log1p(-pc)).sum(
         axis=1, keepdims=True
     )
-    out = Tensor(np.full((1, 1, 1, 1), (per_pixel * m).sum() / count))
+    count = float(per_pixel.size)
+    out = Tensor(np.full((1, 1, 1, 1), per_pixel.sum() / count))
     if tape is not None and probs.needs_grad:
         unclamped = (probs.data > eps) & (probs.data < 1.0 - eps)
         def bwd(g):
             gs = float(g.reshape(())) / count
             dp = (-target / pc + (1.0 - target) / (1.0 - pc)) * unclamped
-            _accum(probs, gs * dp * m)
+            _accum(probs, gs * dp)
         tape.record("ordinal_loss", (probs,), out, bwd)
     return out
 

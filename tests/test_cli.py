@@ -1,10 +1,15 @@
-"""The command line end to end at the small test config: train logs the
-terms its loss summed, eval prints one aggregate per output, and a bad
-config key is a usage error."""
+"""The command line end to end at the small test config: the gen-data,
+train, eval, infer and render chain; train logs the terms its loss summed;
+eval prints one aggregate per output; exit code 1 for a usage error and 2
+for a failed gradient check."""
 
 import json
+from pathlib import Path
+
+import numpy as np
 
 from aced import cli
+from aced.data import read_pgm16, read_ppm
 from conftest import TINY_SETS
 
 
@@ -55,7 +60,74 @@ def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):
 def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     _, manifest = tiny_dataset
     ckpt = tmp_path / "never.ckpt"
-    code = cli.main(["train", *_sets(["no_such_key=1"]), str(manifest), str(ckpt)])
+    for key in ("no_such_key", "detach_confidence"):
+        code = cli.main(["train", *_sets([f"{key}=true"]), str(manifest), str(ckpt)])
+        assert code == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+
+def test_baseline_without_the_ordinal_term_is_a_usage_error(tiny_dataset, tmp_path, capsys):
+    _, manifest = tiny_dataset
+    ckpt = tmp_path / "never.ckpt"
+    code = cli.main(["train", "--mode", "baseline", *_sets(["w_ord=0"]), str(manifest),
+                     str(ckpt)])
     assert code == 1
-    assert "unknown config key 'no_such_key'" in capsys.readouterr().err
+    assert "w_ord" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_grad_check_with_a_corrupted_op_exits_2(capsys):
+    assert cli.main(["grad-check", "--corrupt", "conv2d"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL conv2d_stride1" in out and "FAILURES detected" in out
+
+
+def _printed_paths(out: str) -> list[Path]:
+    """The paths a command printed, one per line, without a 'kind: ' prefix."""
+    return [Path(line.split(": ", 1)[-1]) for line in out.splitlines()]
+
+
+def test_gen_data_train_eval_infer_render_chain(tiny_dataset, tmp_path, capsys):
+    cfg, fixture_manifest = tiny_dataset
+
+    def run(command, *args):
+        capsys.readouterr()
+        assert cli.main([command, "--seed", str(cfg.seed), *_sets(), *args]) == 0
+        return capsys.readouterr().out
+
+    data = tmp_path / "data"
+    (manifest,) = _printed_paths(run("gen-data", str(data)))
+    assert manifest == data / "manifest.txt"
+    fixture_files = sorted(fixture_manifest.parent.iterdir())
+    assert [p.name for p in fixture_files] == sorted(p.name for p in data.iterdir())
+    for path in fixture_files:
+        assert (data / path.name).read_bytes() == path.read_bytes()
+
+    ckpt = tmp_path / "model.ckpt"
+    log = Path(f"{ckpt}.log.jsonl")
+    assert _printed_paths(run("train", str(manifest), str(ckpt))) == [ckpt, log]
+    assert ckpt.stat().st_size > 0
+    assert len(log.read_text().splitlines()) == cfg.max_iter
+
+    metrics = tmp_path / "metrics.jsonl"
+    printed = [json.loads(line) for line in
+               run("eval", str(ckpt), str(manifest), "--out", str(metrics)).splitlines()]
+    written = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert len(written) == 3 * cfg.holdout + 3
+    assert written[-3:] == printed
+
+    image = data / "scene_00000.ppm"
+    paths = _printed_paths(run("infer", str(ckpt), str(image), str(tmp_path / "out")))
+    depth_path, conf_path, vis_path = paths
+    assert paths == [tmp_path / f"out.{ext}" for ext in ("depth.pgm", "conf.pgm", "vis.ppm")]
+    depth, _ = read_pgm16(depth_path)
+    conf, _ = read_pgm16(conf_path)
+    vis = read_ppm(vis_path)
+    assert depth.shape == conf.shape == (1, 16, 16) and vis.shape == (3, 16, 16)
+
+    rendered = tmp_path / "render.ppm"
+    assert _printed_paths(run("render", str(depth_path), str(rendered))) == [rendered]
+    # The same rendering from the 16-bit depth file; quantization moves a
+    # gray level by at most one step.
+    assert np.abs(read_ppm(rendered) - vis).max() <= 1 / 255 + 1e-12

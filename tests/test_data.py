@@ -1,0 +1,121 @@
+"""Netpbm round trips and format errors, the scene generator's determinism
+and range, and augmentation at identity parameters."""
+
+import numpy as np
+import pytest
+
+from aced.data import (
+    MalformedHeaderError,
+    MissingScaleError,
+    SceneSpec,
+    TruncatedPayloadError,
+    apply_augment,
+    generate_scene,
+    read_pgm16,
+    read_ppm,
+    write_pgm16,
+    write_ppm,
+)
+from aced.sid import DepthRange
+
+RANGE = DepthRange(0.5, 8.0)
+
+
+def _spec(seed=5):
+    return SceneSpec(seed=seed, height=16, width=32, depth_range=RANGE)
+
+
+def _write(tmp_path, name, data: bytes):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
+class TestRoundTrip:
+    def test_ppm(self, tmp_path):
+        image = (np.arange(3 * 4 * 5) % 256).reshape(3, 4, 5) / 255.0
+        write_ppm(tmp_path / "a.ppm", image)
+        np.testing.assert_array_equal(read_ppm(tmp_path / "a.ppm"), image)
+
+    def test_pgm16(self, tmp_path):
+        scale = RANGE.beta / 65535.0
+        values = (np.arange(4 * 5) * 3001 % 65536).reshape(1, 4, 5) * scale
+        write_pgm16(tmp_path / "a.pgm", values, scale)
+        got, got_scale = read_pgm16(tmp_path / "a.pgm")
+        assert got_scale == scale
+        np.testing.assert_array_equal(got, values)
+
+
+class TestFormatErrors:
+    def test_ppm_bad_magic(self, tmp_path):
+        path = _write(tmp_path, "a.ppm", b"P3\n1 1\n255\n" + bytes(3))
+        with pytest.raises(MalformedHeaderError, match="expected P6"):
+            read_ppm(path)
+
+    def test_pgm_bad_magic(self, tmp_path):
+        path = _write(tmp_path, "a.pgm", b"P6\n# scale 1.0\n1 1\n65535\n" + bytes(2))
+        with pytest.raises(MalformedHeaderError, match="expected P5"):
+            read_pgm16(path)
+
+    def test_ppm_bad_maxval(self, tmp_path):
+        path = _write(tmp_path, "a.ppm", b"P6\n1 1\n65535\n" + bytes(6))
+        with pytest.raises(MalformedHeaderError, match="unsupported maxval"):
+            read_ppm(path)
+
+    def test_pgm_bad_maxval(self, tmp_path):
+        path = _write(tmp_path, "a.pgm", b"P5\n# scale 1.0\n1 1\n255\n" + bytes(1))
+        with pytest.raises(MalformedHeaderError, match="unsupported maxval"):
+            read_pgm16(path)
+
+    def test_truncated_payload(self, tmp_path):
+        path = _write(tmp_path, "a.ppm", b"P6\n2 2\n255\n" + bytes(11))
+        with pytest.raises(TruncatedPayloadError, match="11 of 12 bytes"):
+            read_ppm(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = _write(tmp_path, "a.pgm", b"P5\n# scale 1.0\n1 1\n65535\n" + bytes(3))
+        with pytest.raises(MalformedHeaderError, match="trailing bytes"):
+            read_pgm16(path)
+
+    def test_missing_scale(self, tmp_path):
+        path = _write(tmp_path, "a.pgm", b"P5\n1 1\n65535\n" + bytes(2))
+        with pytest.raises(MissingScaleError):
+            read_pgm16(path)
+
+
+class TestGenerateScene:
+    def test_deterministic_in_seed_and_index(self):
+        a = generate_scene(_spec(), 3)
+        b = generate_scene(_spec(), 3)
+        np.testing.assert_array_equal(a.image, b.image)
+        np.testing.assert_array_equal(a.depth, b.depth)
+        for other in (generate_scene(_spec(), 4), generate_scene(_spec(seed=6), 3)):
+            assert not np.array_equal(a.depth, other.depth)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_depth_and_image_ranges(self, index):
+        s = generate_scene(_spec(), index)
+        assert s.image.shape == (3, 16, 32) and s.depth.shape == (1, 16, 32)
+        assert RANGE.alpha <= s.depth.min() and s.depth.max() <= RANGE.beta
+        assert 0.0 <= s.image.min() and s.image.max() <= 1.0
+
+
+class TestApplyAugment:
+    def test_identity_parameters_return_the_input(self):
+        s = generate_scene(_spec(), 0)
+        out = apply_augment(s, 0, 0, 16, 32, 1.0, 1.0, (1.0, 1.0, 1.0))
+        np.testing.assert_array_equal(out.depth, s.depth)
+        # The contrast step recentres on the image mean, which may round
+        # the last bit.
+        np.testing.assert_allclose(out.image, s.image, rtol=0, atol=1e-15)
+
+    def test_crop_takes_the_window(self):
+        s = generate_scene(_spec(), 1)
+        out = apply_augment(s, 2, 5, 8, 16, 1.0, 1.0, (1.0, 1.0, 1.0))
+        np.testing.assert_array_equal(out.depth, s.depth[:, 2:10, 5:21])
+        np.testing.assert_allclose(out.image, s.image[:, 2:10, 5:21], rtol=0, atol=1e-15)
+
+    def test_crop_larger_than_image_is_rejected(self):
+        s = generate_scene(_spec(), 0)
+        with pytest.raises(ValueError, match="larger than image"):
+            apply_augment(s, 0, 0, 32, 32, 1.0, 1.0, (1.0, 1.0, 1.0))

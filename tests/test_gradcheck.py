@@ -33,11 +33,10 @@ def _model_ops() -> set[str]:
     rng = gc.Rng(1)
     image = gc.Tensor(rng.fill_uniform((2, net.input_channels, net.height, net.width)))
     depth = rng.fill_uniform((2, 1, net.height, net.width), cfg.alpha, cfg.beta)
-    mask = np.ones_like(depth)
     target = encode_rank(depth_to_label(depth, th), cfg.k)
     tape = RecordingTape()
     out = network.forward(tape, image, params, net, th)
-    total_loss(tape, out.probs, target, out.refined, depth, mask, cfg.loss_weights())
+    total_loss(tape, out.probs, target, out.refined, depth, cfg.loss_weights())
     return set(tape.names)
 
 
@@ -66,3 +65,57 @@ def test_every_model_op_has_a_primitive_check_and_no_other_op_is_checked(monkeyp
                               if result.tolerance == gradcheck.PRIMITIVE_TOL))
     assert model_ops - primitive == set()
     assert set().union(*(ops for _, ops in suite)) - model_ops == {PROBE_OP}
+
+
+def _relu_check(x_value, monkeypatch):
+    """(max error, entries tried, entries compared) of a check_gradients run
+    on relu over 64 entries, one of which (with the largest gradient, so it
+    is always picked) sits at x_value."""
+    x = gc.Tensor(gc.Rng(5).fill_uniform((1, 1, 8, 8), 0.1, 1.0), requires_grad=True)
+    x.data[0, 0, 3, 3] = x_value
+    weights = np.ones(x.shape)
+    weights[0, 0, 3, 3] = 10.0
+    calls = {"rel": 0, "eval": 0}
+    real = gradcheck.relative_error
+
+    def counting_relative_error(a, b):
+        calls["rel"] += 1
+        return real(a, b)
+
+    def build(tape):
+        calls["eval"] += tape is None
+        return gradcheck.project(tape, gc.relu(tape, x), weights)
+
+    monkeypatch.setattr(gradcheck, "relative_error", counting_relative_error)
+    err = gradcheck.check_gradients(build, [x], gc.Rng(7), max_entries=4)
+    # Every tried entry costs two evaluations and one kink test; a compared
+    # entry costs one more relative_error call.
+    tried = calls["eval"] // 2
+    return err, tried, calls["rel"] - tried
+
+
+def test_an_entry_straddling_a_kink_is_replaced_by_another(monkeypatch):
+    # At 3e-6, within FD_STEP of relu's kink, the central difference is 0.65
+    # against an analytic slope of 1.
+    err, tried, compared = _relu_check(3e-6, monkeypatch)
+    assert err < 1e-9
+    assert tried == compared + 1
+    clear_err, clear_tried, clear_compared = _relu_check(0.5, monkeypatch)
+    assert clear_err < 1e-9
+    assert clear_tried == clear_compared == compared
+
+
+def test_a_kink_does_not_hide_a_broken_rule():
+    x = gc.Tensor([[[[0.5, 3e-6, -0.4, 0.2]]]], requires_grad=True)
+    weights = np.ones(x.shape)
+    def build(tape):
+        return gradcheck.project(tape, gc.relu(tape, x), weights)
+    assert gradcheck.check_gradients(build, [x], gc.Rng(0)) < 1e-9
+    x.grad = None
+    err = gradcheck.check_gradients(build, [x], gc.Rng(0), fault_op="relu")
+    assert err == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("seed", [3, 21])
+def test_suite_passes_at_seeds_whose_stencils_straddle_kinks(seed):
+    assert all(r.passed for r in gradcheck.run_full_suite(seed=seed))

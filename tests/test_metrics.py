@@ -1,0 +1,50 @@
+"""compute_metrics on a hand-computed 2x2 example, and its input checks."""
+
+import math
+
+import numpy as np
+import pytest
+
+from aced.metrics import MetricsError, compute_metrics
+
+
+def _map(values):
+    return np.array(values, dtype=np.float64).reshape(1, 1, 2, 2)
+
+
+# Ratios max(d/gt, gt/d) are 1.0, 1.5, 1.8 and 2.0: one under each of the
+# thresholds 1.25, 1.25**2 = 1.5625 and 1.25**3 = 1.953125, and one above all.
+GT = _map([1.0, 2.0, 5.0, 4.0])
+PRED = _map([1.0, 3.0, 9.0, 2.0])
+
+
+def test_hand_computed_example():
+    rep = compute_metrics(PRED, GT, plane_depth=3.0)
+    assert rep.rel == pytest.approx((0.0 + 0.5 + 0.8 + 0.5) / 4, rel=1e-14)
+    assert rep.log10 == pytest.approx(math.log10(1.5 * 1.8 * 2.0) / 4, rel=1e-14)
+    assert rep.rms == pytest.approx(math.sqrt((0.0 + 1.0 + 16.0 + 4.0) / 4), rel=1e-14)
+    assert (rep.delta1, rep.delta2, rep.delta3) == (25.0, 50.0, 75.0)
+    # Near the plane at 3: predictions 1, 3, 2 and ground truth 1, 2; only
+    # the last pixel (pred 2 near, gt 4 far) disagrees.
+    assert rep.dde == 75.0
+    assert rep.pixel_count == 4
+
+
+def test_plane_depth_moves_dde():
+    # At 4.5 the third pixel (pred 9, gt 5) is far on both sides and every
+    # other pixel is near on both.
+    assert compute_metrics(PRED, GT, plane_depth=4.5).dde == 100.0
+
+
+def test_shape_mismatch_is_rejected():
+    with pytest.raises(MetricsError, match="shape mismatch"):
+        compute_metrics(PRED, GT.reshape(1, 1, 4, 1))
+
+
+@pytest.mark.parametrize("which", ["pred", "gt"])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_non_positive_depth_is_rejected(which, bad):
+    pred, gt = PRED.copy(), GT.copy()
+    (pred if which == "pred" else gt)[0, 0, 1, 0] = bad
+    with pytest.raises(MetricsError, match="non-positive depth"):
+        compute_metrics(pred, gt)

@@ -120,14 +120,6 @@ class TestOrdinalLoss:
         with pytest.raises(gc.DomainError, match="non-increasing"):
             ordinal_loss(None, probs, bad)
 
-    def test_masked_mean_over_pixels(self):
-        k = 3
-        probs = gc.Tensor(np.full((1, 2, 1, 2), 0.5))
-        target = encode_rank(np.zeros((1, 1, 1, 2), dtype=np.int64), k)
-        mask = np.array([[[[1.0, 0.0]]]])
-        loss = ordinal_loss(None, probs, target, mask)
-        np.testing.assert_allclose(loss.item(), 2 * math.log(2.0), rtol=1e-14)
-
     def test_gradient_vs_finite_differences(self):
         rng = gc.Rng(31)
         z = gc.Tensor(rng.fill_uniform((1, 8, 3, 3), -2, 2), requires_grad=True)
