@@ -21,7 +21,7 @@ from .gradcore import (
 from .losses import LossWeights, loss_grad, loss_log, total_loss
 from .metrics import MetricReport, compute_metrics
 from .network import NetworkConfig, forward, init_params
-from .ordhead import confidence, expected_label, ordinal_loss, pair_softmax, soft_decode
+from .ordhead import confidence, expected_label, ordinal_loss, pair_softmax
 from .sid import (
     DepthRange,
     SidThresholds,

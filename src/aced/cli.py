@@ -90,7 +90,6 @@ _SCHEMA: dict[str, tuple] = {
     "beta": (float, 8.0),
     "image_h": (int, 32),
     "image_w": (int, 32),
-    "input_channels": (int, 3),
     "base_width": (int, 4),
     "fusion_width": (int, 16),
     "lr": (float, 5e-3),
@@ -146,7 +145,6 @@ class RunConfig:
             k_levels=self.k,
             height=ch,
             width=cw,
-            input_channels=self.input_channels,
             base_width=self.base_width,
             fusion_width=self.fusion_width,
         )
@@ -385,15 +383,10 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     return aggregates
 
 
-def _depth_to_gray(depth: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    gray = np.clip((depth - alpha) / (beta - alpha), 0.0, 1.0)
-    return np.broadcast_to(gray, (3,) + depth.shape[1:]).copy()
-
-
 def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, Path]:
     """One forward pass on a PPM image; writes refined depth (PGM, scale
-    beta/65535), confidence (PGM, scale 1/65535) and a grayscale depth
-    visualization (PPM, linear [alpha, beta] -> [0, 255])."""
+    beta/65535), confidence (PGM, scale 1/65535) and the render of that
+    depth PGM."""
     image_arr = read_ppm(image_path)
     _, h, w = image_arr.shape
     if h % 16 or w % 16:
@@ -410,14 +403,16 @@ def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, P
     }
     write_pgm16(paths["depth"], depth, cfg.beta / 65535.0)
     write_pgm16(paths["confidence"], conf, 1.0 / 65535.0)
-    write_ppm(paths["visualization"], _depth_to_gray(depth, cfg.alpha, cfg.beta))
+    cmd_render(cfg, paths["depth"], paths["visualization"])
     return paths
 
 
 def cmd_render(cfg: RunConfig, depth_path, out_path) -> Path:
-    """Render a depth PGM as the same grayscale visualization infer writes."""
+    """Grayscale visualization of a depth PGM (PPM, linear [alpha, beta] ->
+    [0, 255]); infer writes its visualization this way."""
     depth, _ = read_pgm16(depth_path)
-    write_ppm(out_path, _depth_to_gray(depth, cfg.alpha, cfg.beta))
+    gray = np.clip((depth - cfg.alpha) / (cfg.beta - cfg.alpha), 0.0, 1.0)
+    write_ppm(out_path, np.broadcast_to(gray, (3,) + depth.shape[1:]).copy())
     return Path(out_path)
 
 

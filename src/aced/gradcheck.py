@@ -1,6 +1,6 @@
 """Finite-difference verification of every backward rule.
 
-Each check builds a scalar loss around one operation (or a composed graph),
+Each check builds a scalar loss around one operation (or the whole model),
 reads analytic gradients from one backward pass, and compares them against
 central finite differences with step 1e-5 in float64. Relative error uses a
 small floor so entries whose analytic and numeric gradients are both
@@ -132,74 +132,29 @@ def project(tape: gc.Tape | None, out: gc.Tensor, weights: np.ndarray) -> gc.Ten
     return loss
 
 
-def _rt(rng: gc.Rng, shape, lo=-1.0, hi=1.0, requires_grad=True) -> gc.Tensor:
-    return gc.Tensor(rng.fill_uniform(shape, lo, hi), requires_grad=requires_grad)
+def _rt(rng: gc.Rng, shape, lo=-1.0, hi=1.0) -> gc.Tensor:
+    return gc.Tensor(rng.fill_uniform(shape, lo, hi), requires_grad=True)
 
 
-def _away_from_zero(arr: np.ndarray, margin: float = 1e-3) -> np.ndarray:
-    sign = np.where(arr >= 0, 1.0, -1.0)
-    return sign * np.maximum(np.abs(arr), margin)
+def _probed(op, shapes, lo=-1.0, hi=1.0):
+    """Check of `op(tape, *inputs)` on inputs drawn uniform in [lo, hi) with
+    the given shapes, scored by `project` against a probe shaped like the
+    op's output."""
+    def factory(rng):
+        inputs = [_rt(rng, shape, lo, hi) for shape in shapes]
+        probe = rng.fill_uniform(op(None, *inputs).shape)
+        return lambda tape: project(tape, op(tape, *inputs), probe), inputs
+    return factory
 
 
-# ---------------------------------------------------------------------------
-# Per-primitive checks
-# ---------------------------------------------------------------------------
+def _conv(stride, padding, kernel):
+    return _probed(lambda tape, x, w, b: gc.conv2d(tape, x, w, b, stride, padding),
+                   [(2, 3, 8, 8), (4, 3, kernel, kernel), (1, 4, 1, 1)])
 
 
-def _check_conv(rng, stride, padding, kernel):
-    x = _rt(rng, (2, 3, 8, 8))
-    w = _rt(rng, (4, 3, kernel, kernel))
-    b = _rt(rng, (1, 4, 1, 1))
-    h = (8 + 2 * padding - kernel) // stride + 1
-    probe = rng.fill_uniform((2, 4, h, h))
-    return lambda tape: project(tape, gc.conv2d(tape, x, w, b, stride, padding), probe), [x, w, b]
-
-
-def _check_upsample(rng):
-    x = _rt(rng, (1, 2, 3, 3))
-    probe = rng.fill_uniform((1, 2, 6, 6))
-    return lambda tape: project(tape, gc.upsample_nearest(tape, x, 2), probe), [x]
-
-
-def _check_add(rng):
-    a = _rt(rng, (2, 2, 4, 4))
-    b = _rt(rng, (2, 2, 4, 4))
-    probe = rng.fill_uniform((2, 2, 4, 4))
-    return lambda tape: project(tape, gc.add(tape, a, b), probe), [a, b]
-
-
-def _check_relu(rng):
-    x = _rt(rng, (2, 2, 4, 4))
-    x.data[...] = _away_from_zero(x.data)  # keep clear of the kink
-    probe = rng.fill_uniform((2, 2, 4, 4))
-    return lambda tape: project(tape, gc.relu(tape, x), probe), [x]
-
-
-def _check_scale(rng):
-    x = _rt(rng, (1, 3, 4, 4))
-    probe = rng.fill_uniform((1, 3, 4, 4))
-    return lambda tape: project(tape, gc.scale(tape, x, -2.5), probe), [x]
-
-
-def _check_concat(rng):
-    parts = [_rt(rng, (1, c, 4, 4)) for c in (1, 2, 3)]
-    probe = rng.fill_uniform((1, 6, 4, 4))
-    return lambda tape: project(tape, gc.concat_channels(tape, parts), probe), parts
-
-
-def _check_pair_softmax(rng, k=4):
-    z = _rt(rng, (1, 2 * (k - 1), 4, 4), -2.0, 2.0)
-    probe = rng.fill_uniform((1, k - 1, 4, 4))
-    return lambda tape: project(tape, ordhead.pair_softmax(tape, z), probe), [z]
-
-
-def _check_expected_label(rng, k=5):
-    z = _rt(rng, (1, 2 * (k - 1), 4, 4), -2.0, 2.0)
-    probe = rng.fill_uniform((1, 1, 4, 4))
-    def build(tape):
-        p = ordhead.expected_label(tape, ordhead.pair_softmax(tape, z))
-        return project(tape, p, probe)
-    return build, [z]
+def _confidence_of_logits(tape, z):
+    probs = ordhead.pair_softmax(tape, z)
+    return ordhead.confidence(tape, probs, ordhead.expected_label(tape, probs))
 
 
 def _rank_target(rng, k, shape):
@@ -218,92 +173,13 @@ def _check_ordinal_loss(rng, k=5):
     return build, [z]
 
 
-def _check_confidence(rng, k=5):
-    z = _rt(rng, (1, 2 * (k - 1), 4, 4), -2.0, 2.0)
-    probe = rng.fill_uniform((1, 1, 4, 4))
-    def build(tape):
-        probs = ordhead.pair_softmax(tape, z)
-        p = ordhead.expected_label(tape, probs)
-        return project(tape, ordhead.confidence(tape, probs, p), probe)
-    return build, [z]
-
-
-def _check_soft_decode(rng, k=5):
-    th = sid.make_thresholds(sid.DepthRange(0.5, 8.0), k)
-    z = _rt(rng, (1, 2 * (k - 1), 4, 4), -2.0, 2.0)
-    probe = rng.fill_uniform((1, 1, 4, 4))
-    def build(tape):
-        return project(tape, ordhead.soft_decode(tape, ordhead.pair_softmax(tape, z), th), probe)
-    return build, [z]
-
-
-def _check_loss_log(rng):
-    d = _rt(rng, (1, 1, 5, 5), 0.6, 7.0)
-    gt = rng.fill_uniform((1, 1, 5, 5), 0.6, 7.0)
-    return lambda tape: losses.loss_log(tape, d, gt), [d]
-
-
-def _check_loss_grad(rng):
-    d = _rt(rng, (1, 1, 5, 5), 0.6, 7.0)
-    gt = rng.fill_uniform((1, 1, 5, 5), 0.6, 7.0)
-    return lambda tape: losses.loss_grad(tape, d, gt), [d]
-
-
-# ---------------------------------------------------------------------------
-# Composed graphs
-# ---------------------------------------------------------------------------
-
-
-def _check_composed_8x8(rng, k=4):
-    """Every tape operation chained into one 8x8 coarse+refined loss graph."""
-    th = sid.make_thresholds(sid.DepthRange(0.5, 8.0), k)
-    image = _rt(rng, (1, 3, 8, 8), 0.0, 1.0, requires_grad=False)
-    gt = rng.fill_uniform((1, 1, 8, 8), 0.6, 7.5)
-    target = _rank_target(rng, k, (1, 1, 8, 8))
-    weights = losses.LossWeights(1.0, 1.0, 1.0)
-
-    def conv_pair(name, oc, ic, kk):
-        s = np.sqrt(1.0 / (ic * kk * kk))
-        w = _rt(rng, (oc, ic, kk, kk), -s, s)
-        b = _rt(rng, (1, oc, 1, 1), -0.05, 0.05)
-        return w, b
-
-    s1 = conv_pair("s1", 4, 3, 3)
-    s2 = conv_pair("s2", 6, 4, 3)
-    dec = conv_pair("dec", 4, 10, 3)
-    head = conv_pair("head", 2 * (k - 1), 4, 1)
-    blk1a = conv_pair("blk1a", 4, 4, 3)
-    blk1b = conv_pair("blk1b", 4, 4, 3)
-    blk2a = conv_pair("blk2a", 6, 6, 3)
-    blk2b = conv_pair("blk2b", 6, 6, 3)
-    merge = conv_pair("merge", 3, 10, 1)
-    ref1 = conv_pair("ref1", 4, 5, 3)
-    ref2 = conv_pair("ref2", 1, 4, 3)
-    wrt = [t for pair in (s1, s2, dec, head, blk1a, blk1b, blk2a, blk2b, merge, ref1, ref2)
-           for t in pair]
-
-    def build(tape):
-        f1 = gc.relu(tape, gc.conv2d(tape, image, *s1, 2, 1))       # (1,4,4,4)
-        f2 = gc.relu(tape, gc.conv2d(tape, f1, *s2, 2, 1))          # (1,6,2,2)
-        up = gc.upsample_nearest(tape, f2, 2)
-        x = gc.concat_channels(tape, [up, f1])
-        x = gc.relu(tape, gc.conv2d(tape, x, *dec, 1, 1))
-        logits = gc.upsample_nearest(tape, gc.conv2d(tape, x, *head, 1, 0), 2)
-        probs = ordhead.pair_softmax(tape, logits)
-        p = ordhead.expected_label(tape, probs)
-        coarse = sid.label_to_depth_op(tape, p, th)
-        conf = ordhead.confidence(tape, probs, p)
-        u1 = gc.upsample_nearest(tape, f1, 2)
-        b1 = gc.add(tape, u1, gc.conv2d(tape, gc.relu(tape, gc.conv2d(tape, u1, *blk1a, 1, 1)), *blk1b, 1, 1))
-        u2 = gc.upsample_nearest(tape, f2, 4)
-        b2 = gc.add(tape, u2, gc.conv2d(tape, gc.relu(tape, gc.conv2d(tape, u2, *blk2a, 1, 1)), *blk2b, 1, 1))
-        fused = gc.conv2d(tape, gc.concat_channels(tape, [b1, b2]), *merge, 1, 0)
-        rin = gc.concat_channels(tape, [coarse, conf, fused])
-        residual = gc.conv2d(tape, gc.relu(tape, gc.conv2d(tape, rin, *ref1, 1, 1)), *ref2, 1, 1)
-        refined = gc.add(tape, coarse, residual)
-        return losses.total_loss(tape, probs, target, refined, gt, weights)[0]
-
-    return build, wrt
+def _depth_loss(loss_fn):
+    """Check of a depth loss on a 5x5 map against a fixed ground truth."""
+    def factory(rng):
+        d = _rt(rng, (1, 1, 5, 5), 0.6, 7.0)
+        gt = rng.fill_uniform((1, 1, 5, 5), 0.6, 7.0)
+        return lambda tape: loss_fn(tape, d, gt), [d]
+    return factory
 
 
 def _check_composed_network(rng, k=4):
@@ -325,23 +201,30 @@ def _check_composed_network(rng, k=4):
     return build, [t for _, t in params.items()]
 
 
+_TH5 = sid.make_thresholds(sid.DepthRange(0.5, 8.0), 5)
+
 _COMPONENTS = [
-    ("conv2d_stride1", lambda rng: _check_conv(rng, 1, 1, 3), PRIMITIVE_TOL),
-    ("conv2d_stride2", lambda rng: _check_conv(rng, 2, 1, 3), PRIMITIVE_TOL),
-    ("conv2d_1x1", lambda rng: _check_conv(rng, 1, 0, 1), PRIMITIVE_TOL),
-    ("upsample_nearest", _check_upsample, PRIMITIVE_TOL),
-    ("add", _check_add, PRIMITIVE_TOL),
-    ("relu", _check_relu, PRIMITIVE_TOL),
-    ("scale", _check_scale, PRIMITIVE_TOL),
-    ("concat_channels", _check_concat, PRIMITIVE_TOL),
-    ("pair_softmax", _check_pair_softmax, PRIMITIVE_TOL),
-    ("expected_label", _check_expected_label, PRIMITIVE_TOL),
+    ("conv2d_stride1", _conv(1, 1, 3), PRIMITIVE_TOL),
+    ("conv2d_stride2", _conv(2, 1, 3), PRIMITIVE_TOL),
+    ("conv2d_1x1", _conv(1, 0, 1), PRIMITIVE_TOL),
+    ("upsample_nearest",
+     _probed(lambda tape, x: gc.upsample_nearest(tape, x, 2), [(1, 2, 3, 3)]), PRIMITIVE_TOL),
+    ("add", _probed(gc.add, [(2, 2, 4, 4)] * 2), PRIMITIVE_TOL),
+    ("relu", _probed(gc.relu, [(2, 2, 4, 4)]), PRIMITIVE_TOL),
+    ("scale", _probed(lambda tape, x: gc.scale(tape, x, -2.5), [(1, 3, 4, 4)]), PRIMITIVE_TOL),
+    ("concat_channels",
+     _probed(lambda tape, *parts: gc.concat_channels(tape, parts),
+             [(1, c, 4, 4) for c in (1, 2, 3)]), PRIMITIVE_TOL),
+    ("pair_softmax", _probed(ordhead.pair_softmax, [(1, 6, 4, 4)], -2.0, 2.0), PRIMITIVE_TOL),
+    ("expected_label", _probed(ordhead.expected_label, [(1, 4, 4, 4)], 0.0, 1.0),
+     PRIMITIVE_TOL),
     ("ordinal_loss", _check_ordinal_loss, PRIMITIVE_TOL),
-    ("confidence", _check_confidence, PRIMITIVE_TOL),
-    ("soft_decode", _check_soft_decode, PRIMITIVE_TOL),
-    ("loss_log", _check_loss_log, PRIMITIVE_TOL),
-    ("loss_grad", _check_loss_grad, PRIMITIVE_TOL),
-    ("composed_8x8", _check_composed_8x8, COMPOSED_TOL),
+    ("confidence", _probed(_confidence_of_logits, [(1, 8, 4, 4)], -2.0, 2.0), PRIMITIVE_TOL),
+    ("label_to_depth",
+     _probed(lambda tape, p: sid.label_to_depth_op(tape, p, _TH5), [(1, 1, 4, 4)],
+             0.0, float(_TH5.k_levels)), PRIMITIVE_TOL),
+    ("loss_log", _depth_loss(losses.loss_log), PRIMITIVE_TOL),
+    ("loss_grad", _depth_loss(losses.loss_grad), PRIMITIVE_TOL),
     ("composed_network_16x16", _check_composed_network, COMPOSED_TOL),
 ]
 

@@ -233,10 +233,6 @@ class Tape:
         output.tape = self
         self._nodes.append(_Node(name, tuple(inputs), output, backward_fn))
 
-    def reset(self) -> None:
-        self._nodes.clear()
-        self._done = False
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -252,9 +248,9 @@ def _accum(t: Tensor, g) -> None:
 def backward(loss: Tensor) -> None:
     """Populate grad for every needs_grad tensor the loss depends on.
 
-    The loss must be a scalar produced on a live tape; running a second
-    backward on the same tape without reset() is rejected. The replayed
-    nodes are released, so the tape is empty afterwards.
+    The loss must be a scalar produced on a live tape. The replayed nodes
+    are released, so the tape is empty afterwards and a second backward on
+    it is rejected: record the next graph on a new Tape.
     """
     if loss.shape != (1, 1, 1, 1):
         raise TapeError(f"loss must be scalar (1,1,1,1), got shape {loss.shape}")
@@ -262,7 +258,7 @@ def backward(loss: Tensor) -> None:
     if tape is None:
         raise TapeError("loss is detached from any tape")
     if tape._done:
-        raise TapeError("backward already ran on this tape; call reset() first")
+        raise TapeError("backward already ran on this tape; record on a new Tape")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape._nodes):
         g = node.output.grad

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .gradcore import DomainError, ShapeMismatchError, Tape, Tensor, _accum
-from .sid import SidThresholds, label_to_depth_op
 
 __all__ = [
     "PROB_CLAMP_EPS",
@@ -17,7 +16,6 @@ __all__ = [
     "ordinal_loss",
     "expected_label",
     "confidence",
-    "soft_decode",
 ]
 
 # Probabilities are clamped into [eps, 1-eps] before logarithms; the clamp
@@ -134,9 +132,3 @@ def confidence(tape: Tape | None, probs: Tensor, p: Tensor) -> Tensor:
                 _accum(p, gn * (2.0 * pm - 1.0))
         tape.record("confidence", (probs, p), out, bwd)
     return out
-
-
-def soft_decode(tape: Tape | None, probs: Tensor, th: SidThresholds) -> Tensor:
-    """Fully differentiable coarse depth: expected label fed through the
-    continuous inverse discretization."""
-    return label_to_depth_op(tape, expected_label(tape, probs), th)

@@ -89,15 +89,12 @@ def label_to_depth(p, th: SidThresholds):
 
 def label_to_depth_op(tape: Tape | None, p: Tensor, th: SidThresholds) -> Tensor:
     """Tape version of label_to_depth; d(depth)/dp = depth * log(beta/alpha)/K."""
-    k = float(th.k_levels)
-    lam = th.log_ratio
-    pc = np.clip(p.data, 0.0, k)
-    out_data = th.range.alpha * np.exp(pc * lam)
+    out_data = label_to_depth(p.data, th)
     out = Tensor(out_data)
     if tape is not None and p.needs_grad:
-        inside = (p.data >= 0.0) & (p.data <= k)  # clamp kills gradient outside
+        inside = (p.data >= 0.0) & (p.data <= th.k_levels)  # clamp kills gradient outside
         def bwd(g):
-            _accum(p, g * out_data * lam * inside)
+            _accum(p, g * out_data * th.log_ratio * inside)
         tape.record("label_to_depth", (p,), out, bwd)
     return out
 

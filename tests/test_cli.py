@@ -6,8 +6,6 @@ for a failed gradient check."""
 import json
 from pathlib import Path
 
-import numpy as np
-
 from aced import cli
 from aced.data import read_pgm16, read_ppm
 from conftest import TINY_SETS
@@ -60,7 +58,7 @@ def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):
 def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     _, manifest = tiny_dataset
     ckpt = tmp_path / "never.ckpt"
-    for key in ("no_such_key", "detach_confidence"):
+    for key in ("no_such_key", "detach_confidence", "input_channels"):
         code = cli.main(["train", *_sets([f"{key}=true"]), str(manifest), str(ckpt)])
         assert code == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -128,6 +126,14 @@ def test_gen_data_train_eval_infer_render_chain(tiny_dataset, tmp_path, capsys):
 
     rendered = tmp_path / "render.ppm"
     assert _printed_paths(run("render", str(depth_path), str(rendered))) == [rendered]
-    # The same rendering from the 16-bit depth file; quantization moves a
-    # gray level by at most one step.
-    assert np.abs(read_ppm(rendered) - vis).max() <= 1 / 255 + 1e-12
+    assert rendered.read_bytes() == vis_path.read_bytes()
+
+
+def test_infer_visualization_is_the_render_of_its_depth(tiny_dataset, tmp_path):
+    cfg, manifest = tiny_dataset
+    ckpt, _ = _train(cfg, manifest, tmp_path, "aced")
+    for index in range(cfg.num_scenes - cfg.holdout, cfg.num_scenes):
+        image = manifest.parent / f"scene_{index:05d}.ppm"
+        paths = cli.cmd_infer(cfg, ckpt, image, tmp_path / image.stem)
+        rendered = cli.cmd_render(cfg, paths["depth"], tmp_path / f"{image.stem}.render.ppm")
+        assert rendered.read_bytes() == paths["visualization"].read_bytes()

@@ -67,6 +67,14 @@ def test_every_model_op_has_a_primitive_check_and_no_other_op_is_checked(monkeyp
     assert set().union(*(ops for _, ops in suite)) - model_ops == {PROBE_OP}
 
 
+@pytest.mark.parametrize("op", sorted(_model_ops()))
+def test_a_corrupted_model_op_fails_a_primitive_check(op, monkeypatch):
+    monkeypatch.setattr(gradcheck, "_COMPONENTS",
+                        [c for c in gradcheck._COMPONENTS if c[2] == gradcheck.PRIMITIVE_TOL])
+    results = gradcheck.run_full_suite(seed=0, corrupt_op=op)
+    assert any(not r.passed for r in results)
+
+
 def _relu_check(x_value, monkeypatch):
     """(max error, entries tried, entries compared) of a check_gradients run
     on relu over 64 entries, one of which (with the largest gradient, so it

@@ -16,9 +16,8 @@ from aced.ordhead import (
     expected_label,
     ordinal_loss,
     pair_softmax,
-    soft_decode,
 )
-from aced.sid import DepthRange, encode_rank, hard_decode, make_thresholds
+from aced.sid import DepthRange, encode_rank, hard_decode, label_to_depth_op, make_thresholds
 
 TH4 = make_thresholds(DepthRange(0.5, 8.0), 4)
 
@@ -223,36 +222,42 @@ class TestConfidence:
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
 
+def soft_decode(tape, probs):
+    """Coarse depth the way network.forward decodes it: the expected label
+    through the continuous inverse discretization."""
+    return label_to_depth_op(tape, expected_label(tape, probs), TH4)
+
+
 class TestSoftDecode:
     def test_step_vector_decodes_to_threshold_exactly(self):
         for l in range(4):
             bits = encode_rank(np.full((1, 1, 1, 1), l, dtype=np.int64), 4)
-            out = soft_decode(None, gc.Tensor(bits), TH4)
+            out = soft_decode(None, gc.Tensor(bits))
             assert out.item() == TH4.thresholds[l]
 
     def test_all_half_k4(self):
         probs = gc.Tensor(np.full((1, 3, 1, 1), 0.5))
-        np.testing.assert_allclose(soft_decode(None, probs, TH4).item(), 0.5 * 2**1.5, rtol=1e-12)
+        np.testing.assert_allclose(soft_decode(None, probs).item(), 0.5 * 2**1.5, rtol=1e-12)
 
     def test_raising_any_probability_raises_depth(self):
         base = probs_tensor([0.4, 0.6, 0.2])
-        d0 = soft_decode(None, base, TH4).item()
+        d0 = soft_decode(None, base).item()
         for k in range(3):
             bumped = base.data.copy()
             bumped[0, k] += 0.01
-            assert soft_decode(None, gc.Tensor(bumped), TH4).item() > d0
+            assert soft_decode(None, gc.Tensor(bumped)).item() > d0
 
     def test_gradient_vs_finite_differences(self):
         rng = gc.Rng(51)
         z = gc.Tensor(rng.fill_uniform((1, 6, 3, 3), -2, 2), requires_grad=True)
         probe = rng.fill_uniform((1, 1, 3, 3))
         def build(tape):
-            d = soft_decode(tape, pair_softmax(tape, z), TH4)
+            d = soft_decode(tape, pair_softmax(tape, z))
             return project(tape, d, probe)
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
     @given(arrays(np.float64, (3,), elements=st.floats(0.0, 1.0)))
     @settings(max_examples=100)
     def test_decoded_depth_always_inside_range(self, vec):
-        d = soft_decode(None, probs_tensor(vec), TH4).item()
+        d = soft_decode(None, probs_tensor(vec)).item()
         assert TH4.range.alpha <= d <= TH4.range.beta
