@@ -96,7 +96,7 @@ _SCHEMA: dict[str, tuple] = {
     "beta1": (float, 0.9),
     "beta2": (float, 0.999),
     "eps": (float, 1e-8),
-    "max_iter": (int, 200),
+    "max_iter": (int, 500),
     "lr_power": (float, 0.9),
     "batch_size": (int, 8),
     "seed": (int, 0),

@@ -349,15 +349,28 @@ def upsample_nearest(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     if _want(tape, x):
         b, c, h, w = x.shape
         def bwd(g):
-            _accum(x, g.reshape(b, c, h, f, w, f).sum(axis=(3, 5)))
+            # Sum the f row slices of a (b, c, h, f, w*f) view, then the f
+            # column taps of the result: one strided axis at a time.
+            rows = g.reshape(b, c, h, f, w * f)
+            acc = rows[:, :, :, 0].copy()
+            for k in range(1, f):
+                acc += rows[:, :, :, k]
+            taps = acc.reshape(b, c, h, w, f)
+            dx = taps[..., 0].copy()
+            for k in range(1, f):
+                dx += taps[..., k]
+            _accum(x, dx)
         tape.record("upsample_nearest", (x,), out, bwd)
     return out
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
     """Column buffer (c*kh*kw, b*oh*ow) of a channel-major padded input
-    (c, b, H, W); rows are ordered (c, i, j), columns (b, oh, ow)."""
+    (c, b, H, W); rows are ordered (c, i, j), columns (b, oh, ow). For a
+    1x1 stride-1 kernel this is a reshape of the input itself, not a copy."""
     c, b = xp.shape[:2]
+    if kh == kw == s == 1:
+        return xp.reshape(c, b * oh * ow)
     cols = np.empty((c, kh, kw, b, oh, ow))
     for i in range(kh):
         for j in range(kw):
@@ -384,9 +397,10 @@ def conv2d(
     strided copy per kernel tap (i, j). Forward is y = W @ cols with W the
     weight as (oc, c*kh*kw). Backward gives dW = g @ cols.T and
     dcols = W.T @ g, and scatters dcols back with one strided add per tap
-    (col2im). Backward rebuilds the columns from the padded input instead
-    of keeping them on the tape, so only one conv's columns are alive at a
-    time.
+    (col2im). A 1x1 stride-1 kernel skips both copies: the padded input is
+    the column matrix and dcols is the padded dx. Backward rebuilds the
+    columns from the padded input instead of keeping them on the tape, so
+    only one conv's columns are alive at a time.
     """
     b, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
@@ -424,12 +438,15 @@ def conv2d(
                 _accum(weight, (g2 @ cols.T).reshape(oc, c, kh, kw))
             if x.needs_grad:
                 dcols = (w2.T @ g2).reshape(c, kh, kw, b, oh, ow)
-                dxp = np.zeros_like(xp)
-                for i in range(kh):
-                    hi = i + s * (oh - 1) + 1
-                    for j in range(kw):
-                        wj = j + s * (ow - 1) + 1
-                        dxp[:, :, i:hi:s, j:wj:s] += dcols[:, i, j]
+                if kh == kw == s == 1:
+                    dxp = dcols.reshape(xp.shape)  # one tap covers every pixel
+                else:
+                    dxp = np.zeros_like(xp)
+                    for i in range(kh):
+                        hi = i + s * (oh - 1) + 1
+                        for j in range(kw):
+                            wj = j + s * (ow - 1) + 1
+                            dxp[:, :, i:hi:s, j:wj:s] += dcols[:, i, j]
                 _accum(x, dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
         tape.record("conv2d", (x, weight, bias), out, bwd)
     return out
@@ -510,11 +527,15 @@ def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: b"ACED1\n", then per parameter (in store order) a name
+# Checkpoint format: b"ACED2\n", then per parameter (in store order) a name
 # line, a shape line of 4 decimal counts, and raw little-endian float64.
+# ACED1 files hold the same names and shapes but were trained with the
+# multiscale residual blocks run after the upsample, at full resolution;
+# they are refused rather than loaded into the native-scale graph.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"ACED1\n"
+CHECKPOINT_MAGIC = b"ACED2\n"
+_FULL_RES_FUSION_MAGIC = b"ACED1\n"
 
 
 def save_checkpoint(params: ParamStore, path) -> None:
@@ -539,6 +560,11 @@ def load_checkpoint(params: ParamStore, path) -> None:
     """Load values into an existing store; names, order and shapes must match."""
     with open(path, "rb") as f:
         buf = f.read()
+    if buf.startswith(_FULL_RES_FUSION_MAGIC):
+        raise CheckpointError(
+            f"{path}: ACED1 checkpoint, written for the full-resolution fusion "
+            f"layout; the network now fuses at native scale, so retrain the model"
+        )
     if not buf.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     pos = len(CHECKPOINT_MAGIC)

@@ -1,7 +1,8 @@
 """Toy-scale depth network: a 4-stage convolutional encoder, a skip-connected
-decoder producing rank logits, nearest-upsampled multiscale feature fusion,
-and an additive-residual refinement head driven by coarse depth, confidence
-and fused features.
+decoder producing rank logits, multiscale feature fusion (a residual block
+per scale at its native resolution, then a nearest upsample to full
+resolution), and an additive-residual refinement head driven by coarse
+depth, confidence and fused features.
 """
 
 from __future__ import annotations
@@ -152,15 +153,17 @@ def decode_to_logits(tape: Tape | None, feats: EncoderFeatures, params: ParamSto
 
 
 def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStore, config: NetworkConfig) -> Tensor:
-    """Each scale upsampled to full resolution, refined by a two-conv residual
-    block (identity when the branch weights are zero), then concatenated and
-    merged with a 1x1 convolution."""
+    """Each scale refined at its native resolution by a two-conv residual
+    block (identity when the branch weights are zero), nearest-upsampled by
+    2**i to full resolution, then concatenated and merged with a 1x1
+    convolution. Running the block before the upsample, as in a feature
+    pyramid network (Lin et al., CVPR 2017), needs 4**i times fewer MACs
+    than running it on the upsampled map."""
     refined = []
     for i, f in enumerate(feats, start=1):
-        up = upsample_nearest(tape, f, 2**i)
-        r = relu(tape, _conv(tape, up, params, f"fuse{i}.conv1"))
+        r = relu(tape, _conv(tape, f, params, f"fuse{i}.conv1"))
         r = _conv(tape, r, params, f"fuse{i}.conv2")
-        refined.append(add(tape, up, r))
+        refined.append(upsample_nearest(tape, add(tape, f, r), 2**i))
     merged = concat_channels(tape, refined)
     return conv2d(tape, merged, params["fuse_merge.w"], params["fuse_merge.b"], 1, 0)
 

@@ -151,6 +151,12 @@ class TestConv2dReference:
         np.testing.assert_allclose(w.grad, dw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, db, rtol=0, atol=1e-12)
 
+    def test_pointwise_columns_are_the_input_itself(self):
+        xp = gc.Rng(0).fill_uniform((3, 2, 4, 5))
+        cols = gc._im2col(xp, 1, 1, 1, 4, 5)
+        assert cols.shape == (3, 2 * 4 * 5)
+        assert np.shares_memory(cols, xp)
+
     def test_stride_two_drops_last_row(self):
         # 8 rows, k=3, no padding, stride 2: windows start at rows 0, 2, 4;
         # row 7 is read by none, so its gradient is exactly zero.
@@ -235,6 +241,17 @@ class TestUpsample:
         loss = sum_all(tape, gc.upsample_nearest(tape, x, 3))
         gc.backward(loss)
         np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 9.0))
+
+    @pytest.mark.parametrize("f", [1, 2, 4, 16])
+    def test_gradient_is_the_block_sum(self, f):
+        rng = gc.Rng(gc.derive_seed(9, f))
+        x = t4(rng.fill_uniform((2, 3, 3, 2), -1, 1), requires_grad=True)
+        tape = gc.Tape()
+        out = gc.upsample_nearest(tape, x, f)
+        g = rng.fill_uniform(out.shape, -1, 1)
+        gc.backward(sum_all(tape, out, g))
+        want = g.reshape(2, 3, 3, f, 2, f).sum(axis=(3, 5))
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
 
 
 class TestElementwise:
@@ -476,7 +493,15 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         gc.save_checkpoint(params, path)
         raw = path.read_bytes()
-        assert raw == b"ACED1\np\n1 1 1 1\n" + np.float64(1.0).tobytes()
+        assert raw == b"ACED2\np\n1 1 1 1\n" + np.float64(1.0).tobytes()
+
+    def test_full_resolution_fusion_checkpoint_rejected(self, tmp_path):
+        params = self._store()
+        path = tmp_path / "ck.bin"
+        gc.save_checkpoint(params, path)
+        path.write_bytes(b"ACED1\n" + path.read_bytes()[len(gc.CHECKPOINT_MAGIC):])
+        with pytest.raises(gc.CheckpointError, match="full-resolution fusion.*retrain"):
+            gc.load_checkpoint(self._store(), path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
