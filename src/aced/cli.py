@@ -48,7 +48,7 @@ from .gradcore import (
 from .losses import LossWeights, total_loss
 from .metrics import MetricsError, compute_metrics
 from .network import NetworkConfig, decode_to_logits, encode, forward, init_params
-from .ordhead import ordinal_loss, pair_softmax
+from .ordhead import ordinal_loss
 from .sid import DepthRange, depth_to_label, encode_rank, hard_decode, make_thresholds
 
 __all__ = [
@@ -299,13 +299,12 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
             tape = Tape()
             if cfg.mode == "baseline":
                 feats = encode(tape, image, params, net_cfg)
-                probs = pair_softmax(tape, decode_to_logits(tape, feats, params, net_cfg))
-                term = ordinal_loss(tape, probs, target)
+                term = ordinal_loss(tape, decode_to_logits(tape, feats, params, net_cfg), target)
                 loss = scale(tape, term, cfg.w_ord)
                 parts = {"loss_ord": term.item(), "loss_log": 0.0, "loss_grad": 0.0}
             else:
                 out = forward(tape, image, params, net_cfg, th)
-                loss, parts = total_loss(tape, out.probs, target, out.refined,
+                loss, parts = total_loss(tape, out.logits, target, out.refined,
                                          depth_gt, weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):

@@ -2,11 +2,11 @@
 
 A Tensor is a (batch, channel, height, width) array with an optional
 gradient buffer. Operations append nodes to an explicit Tape; backward()
-replays the recorded nodes in reverse and accumulates gradients into every
-tensor that needs them, then drops the nodes. Each output points to its
-tape, so dropping the nodes breaks the output -> tape -> node -> output
-cycle: a step's graph is freed by reference counting as soon as the caller
-lets go of it, not whenever the cycle collector next runs. The operation
+pops the recorded nodes in reverse, accumulates gradients into every tensor
+that needs them, and drops each node once its rule has run. Each output
+points to its tape, so dropping the nodes breaks the output -> tape -> node
+-> output cycle: a step's graph is freed by reference counting during
+backward and as the caller lets go of it, not by the cycle collector. The operation
 set is exactly what a small convolutional ordinal-regression network
 needs, all in float64 so analytic gradients can be checked against central
 finite differences.
@@ -248,9 +248,10 @@ def _accum(t: Tensor, g) -> None:
 def backward(loss: Tensor) -> None:
     """Populate grad for every needs_grad tensor the loss depends on.
 
-    The loss must be a scalar produced on a live tape. The replayed nodes
-    are released, so the tape is empty afterwards and a second backward on
-    it is rejected: record the next graph on a new Tape.
+    The loss must be a scalar produced on a live tape. Each node is popped
+    before its rule runs, so what only it held (closure, saved arrays, its
+    output's gradient) is freed while earlier nodes run. A second backward
+    on the emptied tape is rejected: record the next graph on a new Tape.
     """
     if loss.shape != (1, 1, 1, 1):
         raise TapeError(f"loss must be scalar (1,1,1,1), got shape {loss.shape}")
@@ -260,12 +261,12 @@ def backward(loss: Tensor) -> None:
     if tape._done:
         raise TapeError("backward already ran on this tape; record on a new Tape")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
         g = node.output.grad
-        if g is None:
-            continue
-        node.backward(g)
-    tape._nodes.clear()
+        if g is not None:
+            node.backward(g)
     tape._done = True
 
 

@@ -91,15 +91,15 @@ def loss_grad(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
 
 def total_loss(
     tape: Tape | None,
-    probs: Tensor,
+    logits: Tensor,
     target: np.ndarray,
     refined: Tensor,
     depth_gt: np.ndarray,
     weights: LossWeights,
 ) -> tuple[Tensor, dict[str, float]]:
-    """w_ord * ordinal + w_log * log-loss(refined) + w_grad * grad-loss(refined),
-    summed in that order, and the unweighted terms keyed loss_ord, loss_log
-    and loss_grad.
+    """w_ord * ordinal(logits) + w_log * log-loss(refined) + w_grad *
+    grad-loss(refined), summed in that order, and the unweighted terms keyed
+    loss_ord, loss_log and loss_grad.
 
     The coarse depth is trained by the ordinal term alone. A term whose
     weight is 0 is evaluated off the tape: it is reported but adds nothing
@@ -108,7 +108,7 @@ def total_loss(
     out = None
     parts = {}
     for key, w, term_fn, pred, gt in (
-        ("loss_ord", weights.w_ord, ordinal_loss, probs, target),
+        ("loss_ord", weights.w_ord, ordinal_loss, logits, target),
         ("loss_log", weights.w_log, loss_log, refined, depth_gt),
         ("loss_grad", weights.w_grad, loss_grad, refined, depth_gt),
     ):

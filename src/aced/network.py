@@ -27,6 +27,7 @@ from .ordhead import confidence, expected_label, pair_softmax
 from .sid import SidThresholds, label_to_depth_op
 
 __all__ = [
+    "IMAGE_CHANNELS",
     "NetworkConfig",
     "EncoderFeatures",
     "ForwardResult",
@@ -40,12 +41,14 @@ __all__ = [
 ]
 
 
+IMAGE_CHANNELS = 3  # RGB, the only images read_ppm and generate_scene give
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     k_levels: int
     height: int
     width: int
-    input_channels: int = 3
     base_width: int = 16
     fusion_width: int = 32
 
@@ -56,7 +59,7 @@ class NetworkConfig:
             v = getattr(self, name)
             if v <= 0 or v % 16 != 0:
                 raise ValueError(f"{name} must be a positive multiple of 16, got {v}")
-        if self.input_channels < 1 or self.base_width < 1 or self.fusion_width < 1:
+        if self.base_width < 1 or self.fusion_width < 1:
             raise ValueError("channel widths must be positive")
 
 
@@ -74,6 +77,7 @@ class ForwardResult(NamedTuple):
     confidence: Tensor
     refined: Tensor
     probs: Tensor
+    logits: Tensor
 
 
 def stage_widths(config: NetworkConfig) -> tuple[int, int, int, int]:
@@ -86,7 +90,7 @@ def _conv_specs(config: NetworkConfig):
     order here fixes parameter-store order, init order and checkpoint layout."""
     w1, w2, w3, w4 = stage_widths(config)
     specs = [
-        ("enc1.conv1", w1, config.input_channels, 3),
+        ("enc1.conv1", w1, IMAGE_CHANNELS, 3),
         ("enc1.conv2", w1, w1, 3),
         ("enc2.conv1", w2, w1, 3),
         ("enc2.conv2", w2, w2, 3),
@@ -126,8 +130,8 @@ def _conv(tape, x, params, name, stride=1, padding=1):
 def encode(tape: Tape | None, image: Tensor, params: ParamStore, config: NetworkConfig) -> EncoderFeatures:
     """Four stages of (stride-2 conv3x3, relu, conv3x3, relu)."""
     b, c, h, w = image.shape
-    if c != config.input_channels:
-        raise ShapeMismatchError(f"encode: image has {c} channels, config says {config.input_channels}")
+    if c != IMAGE_CHANNELS:
+        raise ShapeMismatchError(f"encode: image has {c} channels, expected {IMAGE_CHANNELS}")
     if h % 16 != 0 or w % 16 != 0:
         raise ShapeMismatchError(f"encode: spatial dims ({h}x{w}) must be multiples of 16")
     feats = []
@@ -184,8 +188,8 @@ def forward(
     config: NetworkConfig,
     th: SidThresholds,
 ) -> ForwardResult:
-    """One pass: encode, decode to rank probabilities, soft-decode coarse
-    depth plus confidence, fuse multiscale features, refine."""
+    """One pass: encode, decode to rank logits and probabilities, soft-decode
+    coarse depth plus confidence, fuse multiscale features, refine."""
     feats = encode(tape, image, params, config)
     logits = decode_to_logits(tape, feats, params, config)
     probs = pair_softmax(tape, logits)
@@ -194,4 +198,4 @@ def forward(
     conf = confidence(tape, probs, p)
     fused = fuse_multiscale(tape, feats, params, config)
     refined = refine(tape, coarse, conf, fused, params)
-    return ForwardResult(coarse, conf, refined, probs)
+    return ForwardResult(coarse, conf, refined, probs, logits)

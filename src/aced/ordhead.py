@@ -2,6 +2,8 @@
 loss, the differentiable expected-label decode, and the per-pixel
 confidence score. All operations register backward rules on the tape, so
 the decoded depth and the confidence participate in end-to-end training.
+Classifier k owns logits (2k, 2k+1), 2k+1 being "depth exceeds threshold k",
+and is seen only through its margin d_k = z_{2k+1} - z_{2k}.
 """
 
 from __future__ import annotations
@@ -11,77 +13,70 @@ import numpy as np
 from .gradcore import DomainError, ShapeMismatchError, Tape, Tensor, _accum
 
 __all__ = [
-    "PROB_CLAMP_EPS",
     "pair_softmax",
     "ordinal_loss",
     "expected_label",
     "confidence",
 ]
 
-# Probabilities are clamped into [eps, 1-eps] before logarithms; the clamp
-# gradient is identity strictly inside the interval and zero outside.
-PROB_CLAMP_EPS = 1e-7
-
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _pair_margins(op: str, logits: Tensor) -> np.ndarray:
+    """d_k = z_{2k+1} - z_{2k}, one channel per classifier."""
+    c = logits.shape[1]
+    if c % 2 != 0:
+        raise ShapeMismatchError(f"{op}: channel count {c} is odd")
+    return logits.data[:, 1::2] - logits.data[:, 0::2]
+
+
+def _accum_pair_margins(logits: Tensor, g: np.ndarray) -> None:
+    """Back through the margins: dL/dd_k to channel 2k+1, its negative to 2k."""
+    dz = np.empty_like(logits.data)
+    dz[:, 1::2] = g
+    dz[:, 0::2] = -g
+    _accum(logits, dz)
 
 
 def pair_softmax(tape: Tape | None, logits: Tensor) -> Tensor:
-    """Per-classifier 2-way softmax over channel pairs (2k, 2k+1).
-
-    Channel 2k+1 is the "depth exceeds threshold k" class, so the output
-    channel k is P^k = exp(z_{2k+1}) / (exp(z_{2k}) + exp(z_{2k+1})),
-    evaluated as sigmoid(z_{2k+1} - z_{2k}) which is the same quantity in
-    max-subtracted (stable) form.
-    """
-    b, c, h, w = logits.shape
-    if c % 2 != 0:
-        raise ShapeMismatchError(f"pair_softmax: channel count {c} is odd")
-    d = logits.data[:, 1::2] - logits.data[:, 0::2]
-    probs = _stable_sigmoid(d)
+    """Per-classifier 2-way softmax over channel pairs (2k, 2k+1):
+    P^k = exp(z_{2k+1}) / (exp(z_{2k}) + exp(z_{2k+1})), evaluated in the
+    stable form sigmoid(d_k)."""
+    probs = _stable_sigmoid(_pair_margins("pair_softmax", logits))
     out = Tensor(probs)
     if tape is not None and logits.needs_grad:
         def bwd(g):
-            t = g * probs * (1.0 - probs)
-            dz = np.empty_like(logits.data)
-            dz[:, 1::2] = t
-            dz[:, 0::2] = -t
-            _accum(logits, dz)
+            _accum_pair_margins(logits, g * probs * (1.0 - probs))
         tape.record("pair_softmax", (logits,), out, bwd)
     return out
 
 
-def ordinal_loss(tape: Tape | None, probs: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over pixels of the per-pixel ordinal classification loss
-    -sum_{k<l} log P^k - sum_{k>=l} log(1 - P^k), with l the count of 1-bits
-    in the target rank vector.
+def ordinal_loss(tape: Tape | None, logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over pixels of -sum_{k<l} log P^k - sum_{k>=l} log(1 - P^k), with
+    l the count of 1-bits in the target rank vector t. On the margins, as in
+    DORN (Fu et al., CVPR 2018), the term of classifier k is
+    softplus(d_k) - t_k*d_k: exact for every finite logit, with a gradient
+    sigmoid(d_k) - t_k that a saturated, wrong classifier does not lose.
     """
-    if target.shape != probs.shape:
-        raise ShapeMismatchError(
-            f"ordinal_loss: target shape {target.shape} != probs shape {probs.shape}"
-        )
+    d = _pair_margins("ordinal_loss", logits)
+    if target.shape != d.shape:
+        raise ShapeMismatchError(f"ordinal_loss: target shape {target.shape} does "
+                                 f"not pair with logits shape {logits.shape}")
     if np.any(np.diff(target, axis=1) > 0):
         raise DomainError("ordinal_loss: target rank vectors must be non-increasing")
-    eps = PROB_CLAMP_EPS
-    pc = np.clip(probs.data, eps, 1.0 - eps)
-    per_pixel = -(target * np.log(pc) + (1.0 - target) * np.log1p(-pc)).sum(
-        axis=1, keepdims=True
-    )
-    count = float(per_pixel.size)
-    out = Tensor(np.full((1, 1, 1, 1), per_pixel.sum() / count))
-    if tape is not None and probs.needs_grad:
-        unclamped = (probs.data > eps) & (probs.data < 1.0 - eps)
+    # softplus(d) = max(d, 0) + log1p(exp(-|d|)); max(d, 0) - t*d is exact
+    # for t in {0, 1}, so a correct, saturated classifier costs ~exp(-|d|).
+    per_entry = np.maximum(d, 0.0) - target * d + np.log1p(np.exp(-np.abs(d)))
+    count = float(d.size // d.shape[1])  # pixels
+    out = Tensor(np.full((1, 1, 1, 1), per_entry.sum() / count))
+    if tape is not None and logits.needs_grad:
         def bwd(g):
             gs = float(g.reshape(())) / count
-            dp = (-target / pc + (1.0 - target) / (1.0 - pc)) * unclamped
-            _accum(probs, gs * dp)
-        tape.record("ordinal_loss", (probs,), out, bwd)
+            _accum_pair_margins(logits, gs * (_stable_sigmoid(d) - target))
+        tape.record("ordinal_loss", (logits,), out, bwd)
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from aced import cli
 from aced.data import read_pgm16, read_ppm
-from conftest import TINY_SETS
+from conftest import TINY_SETS, RecordingTape, tiny_config
 
 
 def _sets(extra=()):
@@ -42,6 +42,25 @@ def test_train_baseline_logs_only_the_ordinal_term(tiny_dataset, tmp_path):
     for r in records:
         assert r["loss_log"] == r["loss_grad"] == 0.0
         assert r["loss"] == r["loss_ord"]
+
+
+def test_baseline_training_records_no_pair_softmax(tiny_dataset, tmp_path, monkeypatch):
+    # Baseline mode puts the ordinal loss straight on the decoder's logits.
+    _, manifest = tiny_dataset
+    tapes = []
+
+    class SpyTape(RecordingTape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(cli, "Tape", SpyTape)
+    cfg = tiny_config(mode="baseline", extra=["max_iter=2"])
+    cli.cmd_train(cfg, manifest, tmp_path / "baseline.ckpt")
+    assert len(tapes) == 2
+    for tape in tapes:
+        assert "ordinal_loss" in tape.names
+        assert "pair_softmax" not in tape.names
 
 
 def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):

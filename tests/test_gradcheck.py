@@ -31,12 +31,12 @@ def _model_ops() -> set[str]:
     th = cfg.thresholds()
     params = network.init_params(net, gc.Rng(0))
     rng = gc.Rng(1)
-    image = gc.Tensor(rng.fill_uniform((2, net.input_channels, net.height, net.width)))
+    image = gc.Tensor(rng.fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
     depth = rng.fill_uniform((2, 1, net.height, net.width), cfg.alpha, cfg.beta)
     target = encode_rank(depth_to_label(depth, th), cfg.k)
     tape = RecordingTape()
     out = network.forward(tape, image, params, net, th)
-    total_loss(tape, out.probs, target, out.refined, depth, cfg.loss_weights())
+    total_loss(tape, out.logits, target, out.refined, depth, cfg.loss_weights())
     return set(tape.names)
 
 

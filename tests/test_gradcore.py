@@ -192,7 +192,7 @@ def spy(tape, x, w, b, stride=1, padding=0):
     return real(tape, x, w, b, stride, padding)
 
 network.conv2d = spy
-image = gc.Tensor(gc.Rng(1).fill_uniform((cfg.batch_size, net.input_channels, net.height, net.width)))
+image = gc.Tensor(gc.Rng(1).fill_uniform((cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width)))
 network.forward(None, image, params, net, cfg.thresholds())
 for name, shape, w, b, stride, padding in calls:
     rng = gc.Rng(gc.derive_seed(2, name))
@@ -346,6 +346,25 @@ class TestBackward:
         with pytest.raises(gc.TapeError, match="new Tape"):
             gc.backward(loss)
 
+    def test_backward_frees_each_node_once_it_has_run(self):
+        # By the time the first node's rule runs, the later node (and with
+        # it the output only that node held) must already be released.
+        x = t4(np.ones((1, 1, 1, 1)), requires_grad=True)
+        tape = gc.Tape()
+        y = gc.Tensor(2.0 * x.data)
+        seen = []
+        def first_bwd(g):
+            seen.append(later_output() is None)
+            gc._accum(x, 2.0 * g)
+        tape.record("first", (x,), y, first_bwd)
+        z = gc.scale(tape, y, 3.0)
+        later_output = weakref.ref(z.data)
+        loss = gc.scale(tape, z, 1.0)
+        del z
+        gc.backward(loss)
+        assert seen == [True]
+        np.testing.assert_array_equal(x.grad, 6.0)
+
     def test_step_graph_dies_without_the_cycle_collector(self):
         # Every recorded output points to its tape; once backward has run,
         # the tape must no longer point back, so dropping the step's
@@ -356,7 +375,7 @@ class TestBackward:
                                     "fusion_width=4", "batch_size=2"], seed=0)
         net = cfg.network_config()
         params = network.init_params(net, gc.Rng(0))
-        image = gc.Tensor(gc.Rng(1).fill_uniform((2, net.input_channels, net.height, net.width)))
+        image = gc.Tensor(gc.Rng(1).fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
         was_enabled = pygc.isenabled()
         pygc.disable()
         try:

@@ -8,7 +8,7 @@ import pytest
 
 from aced import gradcore as gc
 from aced.losses import LossWeights, loss_grad, loss_log, total_loss
-from aced.ordhead import ordinal_loss, pair_softmax
+from aced.ordhead import ordinal_loss
 from aced.sid import encode_rank
 from conftest import RecordingTape
 
@@ -24,9 +24,9 @@ def _inputs():
     return z, encode_rank(labels, K), refined, gt
 
 
-def _alone(probs, target, refined, gt):
+def _alone(logits, target, refined, gt):
     return {
-        "loss_ord": ordinal_loss(None, probs, target).item(),
+        "loss_ord": ordinal_loss(None, logits, target).item(),
         "loss_log": loss_log(None, refined, gt).item(),
         "loss_grad": loss_grad(None, refined, gt).item(),
     }
@@ -36,9 +36,8 @@ def test_parts_are_the_summed_terms():
     z, target, refined, gt = _inputs()
     weights = LossWeights(0.7, 1.3, 2.1)
     tape = RecordingTape()
-    probs = pair_softmax(tape, z)
-    loss, parts = total_loss(tape, probs, target, refined, gt, weights)
-    alone = _alone(probs, target, refined, gt)
+    loss, parts = total_loss(tape, z, target, refined, gt, weights)
+    alone = _alone(z, target, refined, gt)
     assert parts == alone
     assert loss.item() == ((weights.w_ord * alone["loss_ord"] + weights.w_log * alone["loss_log"])
                            + weights.w_grad * alone["loss_grad"])
@@ -51,9 +50,8 @@ def test_zero_weight_term_is_reported_off_the_tape(zeroed, op):
     z, target, refined, gt = _inputs()
     weights = LossWeights(**{zeroed: 0.0})
     tape = RecordingTape()
-    probs = pair_softmax(tape, z)
-    loss, parts = total_loss(tape, probs, target, refined, gt, weights)
-    alone = _alone(probs, target, refined, gt)
+    loss, parts = total_loss(tape, z, target, refined, gt, weights)
+    alone = _alone(z, target, refined, gt)
     assert parts == alone
     assert op not in tape.names
     assert tape.names.count("scale") == 2

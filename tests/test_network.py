@@ -1,6 +1,7 @@
-"""Network graph layout: where the multiscale fusion blocks run."""
+"""Network graph layout: the RGB input, and where the multiscale fusion blocks run."""
 
 import numpy as np
+import pytest
 
 from aced import gradcore as gc
 from aced import network
@@ -11,7 +12,7 @@ def _tiny_model(seed=0):
     cfg = tiny_config()
     net = cfg.network_config()
     params = network.init_params(net, gc.Rng(seed))
-    image = gc.Tensor(gc.Rng(seed + 1).fill_uniform((2, net.input_channels, net.height, net.width)))
+    image = gc.Tensor(gc.Rng(seed + 1).fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
     feats = network.encode(None, image, params, net)
     return net, params, feats
 
@@ -60,3 +61,11 @@ def test_zero_branch_fusion_is_merge_of_upsampled_features():
                      params["fuse_merge.b"], 1, 0)
     got = network.fuse_multiscale(None, feats, params, net)
     np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_encode_takes_rgb_images_only():
+    net = tiny_config().network_config()
+    params = network.init_params(net, gc.Rng(0))
+    image = gc.Tensor(np.zeros((1, network.IMAGE_CHANNELS + 1, net.height, net.width)))
+    with pytest.raises(gc.ShapeMismatchError, match="4 channels"):
+        network.encode(None, image, params, net)

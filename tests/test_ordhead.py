@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from aced import gradcore as gc
 from aced.gradcheck import check_gradients, project
 from aced.ordhead import (
-    PROB_CLAMP_EPS,
     confidence,
     expected_label,
     ordinal_loss,
@@ -85,39 +84,83 @@ class TestPairSoftmax:
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
 
+def margins_tensor(vec) -> gc.Tensor:
+    """Logits whose pair k is (0, vec[k]), so the margin d_k is vec[k]."""
+    z = np.zeros((1, 2 * len(vec), 1, 1))
+    z[0, 1::2, 0, 0] = vec
+    return gc.Tensor(z, requires_grad=True)
+
+
+def rank_target(l, k, shape=(1, 1, 1, 1)):
+    return encode_rank(np.full(shape, l, dtype=np.int64), k)
+
+
 class TestOrdinalLoss:
     def test_half_probs_give_k_minus_one_ln2(self):
         k = 5
-        probs = gc.Tensor(np.full((1, k - 1, 2, 2), 0.5))
+        z = gc.Tensor(np.zeros((1, 2 * (k - 1), 2, 2)))  # every P^k is 1/2
         for l in range(k):
-            target = encode_rank(np.full((1, 1, 2, 2), l, dtype=np.int64), k)
-            loss = ordinal_loss(None, probs, target)
+            loss = ordinal_loss(None, z, rank_target(l, k, (1, 1, 2, 2)))
             np.testing.assert_allclose(loss.item(), (k - 1) * math.log(2.0), rtol=1e-14)
 
     def test_perfect_prediction_is_near_zero(self):
+        # Margins of +-40 on the right side of every threshold: each term is
+        # log1p(exp(-40)), about 4e-18.
         k = 5
-        target = encode_rank(np.full((1, 1, 1, 1), 2, dtype=np.int64), k)
-        probs = gc.Tensor(target.copy())
-        loss = ordinal_loss(None, probs, target)
-        expect = -(k - 1) * math.log1p(-PROB_CLAMP_EPS)
-        np.testing.assert_allclose(loss.item(), expect, rtol=1e-6)
-        assert loss.item() < 1e-5
+        target = rank_target(2, k)
+        loss = ordinal_loss(None, margins_tensor(80.0 * target.ravel() - 40.0), target)
+        np.testing.assert_allclose(loss.item(), (k - 1) * math.log1p(math.exp(-40.0)),
+                                   rtol=1e-12)
+        assert loss.item() < 1e-16
 
     def test_hand_evaluated_example(self):
-        # K=3, l=1, P=[0.8, 0.3] -> -ln 0.8 - ln 0.7
-        probs = probs_tensor([0.8, 0.3])
-        target = encode_rank(np.full((1, 1, 1, 1), 1, dtype=np.int64), 3)
+        # K=3, l=1, P=[0.8, 0.3] -> -ln 0.8 - ln 0.7; P = sigmoid(d) gives
+        # d = ln(P / (1 - P)).
+        z = margins_tensor([math.log(0.8 / 0.2), math.log(0.3 / 0.7)])
         np.testing.assert_allclose(
-            ordinal_loss(None, probs, target).item(),
+            ordinal_loss(None, z, rank_target(1, 3)).item(),
             -math.log(0.8) - math.log(0.7),
             rtol=1e-12,
         )
 
+    def test_matches_the_log_probability_form(self):
+        # -sum [t*log(sigmoid(d)) + (1-t)*log(1 - sigmoid(d))] over the 18
+        # pixels, with 1 - sigmoid(d) taken as sigmoid(-d) so it keeps full
+        # precision.
+        k = 5
+        rng = gc.Rng(17)
+        d = rng.fill_uniform((2, k - 1, 3, 3), -16.0, 16.0)
+        d[0, :, 0, 0] = [-16.0, 16.0, 0.0, -1e-9]
+        z = np.zeros((2, 2 * (k - 1), 3, 3))
+        z[:, 1::2] = d
+        labels = np.array([rng.randint(0, k - 1) for _ in range(18)]).reshape(2, 1, 3, 3)
+        target = encode_rank(labels, k)
+        sig = lambda x: 1.0 / (1.0 + np.exp(-x))
+        ref = -(target * np.log(sig(d)) + (1.0 - target) * np.log(sig(-d))).sum() / 18
+        assert ordinal_loss(None, gc.Tensor(z), target).item() == pytest.approx(ref, rel=1e-12)
+
+    def test_saturated_wrong_classifier_keeps_its_gradient(self):
+        # Logits (0, 20) say "deeper than the threshold" with P = 1 - 2e-9;
+        # the target says not. The gradient is sigmoid(20) - 0 on the pair.
+        z = margins_tensor([20.0])
+        tape = gc.Tape()
+        loss = ordinal_loss(tape, z, rank_target(0, 2))
+        assert loss.item() == pytest.approx(20.000000002061153, rel=1e-15)
+        gc.backward(loss)
+        s20 = 1.0 / (1.0 + math.exp(-20.0))
+        np.testing.assert_allclose(z.grad.ravel(), [-s20, s20], rtol=1e-15)
+
+    def test_target_must_pair_with_the_logits(self):
+        z = gc.Tensor(np.zeros((1, 4, 1, 1)))
+        with pytest.raises(gc.ShapeMismatchError, match="pair"):
+            ordinal_loss(None, z, rank_target(1, 4))
+        with pytest.raises(gc.ShapeMismatchError, match="odd"):
+            ordinal_loss(None, gc.Tensor(np.zeros((1, 3, 1, 1))), rank_target(1, 3))
+
     def test_non_monotone_target_rejected(self):
-        probs = probs_tensor([0.5, 0.5])
         bad = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
         with pytest.raises(gc.DomainError, match="non-increasing"):
-            ordinal_loss(None, probs, bad)
+            ordinal_loss(None, margins_tensor([0.0, 0.0]), bad)
 
     def test_gradient_vs_finite_differences(self):
         rng = gc.Rng(31)
@@ -125,7 +168,7 @@ class TestOrdinalLoss:
         labels = np.array([rng.randint(0, 4) for _ in range(9)], dtype=np.int64).reshape(1, 1, 3, 3)
         target = encode_rank(labels, 5)
         def build(tape):
-            return ordinal_loss(tape, pair_softmax(tape, z), target)
+            return ordinal_loss(tape, z, target)
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
 
 
