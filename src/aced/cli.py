@@ -3,7 +3,7 @@ image inference, gradient checking and depth-map rendering, all driven by a
 flat key=value config with deterministic seeded behaviour.
 
 Config precedence is defaults < config file < --set overrides (in order)
-< explicit --seed/--mode flags. Exit codes: 0 success, 1 usage error,
+< an explicit --seed flag. Exit codes: 0 success, 1 usage error,
 2 numerical failure.
 """
 
@@ -43,12 +43,10 @@ from .gradcore import (
     load_checkpoint,
     poly_lr,
     save_checkpoint,
-    scale,
 )
 from .losses import LossWeights, total_loss
 from .metrics import MetricsError, compute_metrics
-from .network import NetworkConfig, decode_to_logits, encode, forward, init_params
-from .ordhead import ordinal_loss
+from .network import NetworkConfig, forward, init_params
 from .sid import DepthRange, depth_to_label, encode_rank, hard_decode, make_thresholds
 
 __all__ = [
@@ -100,7 +98,6 @@ _SCHEMA: dict[str, tuple] = {
     "lr_power": (float, 0.9),
     "batch_size": (int, 8),
     "seed": (int, 0),
-    "mode": (str, "aced"),
     "w_ord": (float, 1.0),
     "w_log": (float, 1.0),
     "w_grad": (float, 1.0),
@@ -122,11 +119,8 @@ class RunConfig:
 
     values: tuple  # (key, value) pairs in schema order
 
-    def __getattr__(self, name):
-        for k, v in object.__getattribute__(self, "values"):
-            if k == name:
-                return v
-        raise AttributeError(name)
+    def __post_init__(self):
+        self.__dict__.update(self.values)
 
     def resolved_crop(self) -> tuple[int, int]:
         ch = self.crop_h or self.image_h
@@ -179,7 +173,6 @@ def load_config(
     config_path=None,
     sets: list[str] | None = None,
     seed: int | None = None,
-    mode: str | None = None,
 ) -> RunConfig:
     merged = {k: default for k, (_, default) in _SCHEMA.items()}
 
@@ -203,8 +196,6 @@ def load_config(
         apply(key.strip(), raw.strip(), f"--set #{i + 1}")
     if seed is not None:
         merged["seed"] = seed
-    if mode is not None:
-        merged["mode"] = mode
 
     cfg = RunConfig(values=tuple((k, merged[k]) for k in _SCHEMA))
     _validate(cfg)
@@ -222,11 +213,6 @@ def _validate(cfg: RunConfig) -> None:
     ch, cw = cfg.resolved_crop()
     if ch > cfg.image_h or cw > cfg.image_w:
         raise ConfigError(f"crop ({ch}x{cw}) exceeds image ({cfg.image_h}x{cfg.image_w})")
-    if cfg.mode not in ("baseline", "aced"):
-        raise ConfigError(f"mode must be 'baseline' or 'aced', got {cfg.mode!r}")
-    if cfg.mode == "baseline" and cfg.w_ord == 0:
-        raise ConfigError("w_ord must be positive in mode 'baseline', which trains the "
-                          "ordinal term alone")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if cfg.max_iter < 0:
@@ -251,13 +237,17 @@ def cmd_gen_data(cfg: RunConfig, out_dir) -> Path:
 
 
 def _split_pairs(cfg: RunConfig, pairs, split: str):
-    holdout = cfg.holdout
-    if split == "train":
-        return pairs[: len(pairs) - holdout] if holdout else pairs
-    if split == "holdout":
-        return pairs[len(pairs) - holdout:] if holdout else []
+    """The last `holdout` pairs of the manifest are the holdout split, the
+    rest the train split."""
     if split == "all":
         return pairs
+    cut = len(pairs) - cfg.holdout
+    if cut < 0:
+        raise ConfigError(f"holdout={cfg.holdout} exceeds the {len(pairs)} pairs of the manifest")
+    if split == "train":
+        return pairs[:cut]
+    if split == "holdout":
+        return pairs[cut:]
     raise ConfigError(f"unknown split {split!r}")
 
 
@@ -268,19 +258,20 @@ def _stack_batch(samples):
 
 
 def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> Path:
-    """Adam with polynomial decay over the train split of the manifest.
+    """Adam with polynomial decay over the train split of the manifest,
+    training the whole graph end to end on the weighted loss terms.
 
-    Mode 'baseline' trains the ordinal classifier alone; 'aced' trains the
-    whole graph end to end. Emits one JSON line per iteration and writes a
-    checkpoint; aborts with a diagnostic on non-finite loss.
+    `--set w_log=0 --set w_grad=0` gives ordinal-only (DORN-style)
+    training: the fusion and refinement parameters then get zero gradients
+    and stay at their initial values. Emits one JSON line per iteration
+    and writes a checkpoint; aborts with a diagnostic on non-finite loss.
     """
     pairs = _split_pairs(cfg, read_manifest(manifest_path), "train")
     if not pairs:
         raise ConfigError("training split is empty")
     samples = [read_sample(img, dep) for img, dep in pairs]
     th = cfg.thresholds()
-    net_cfg = cfg.network_config()
-    params = init_params(net_cfg, Rng(derive_seed(cfg.seed, "params")))
+    params = init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
     rng_aug = Rng(derive_seed(cfg.seed, "augment"))
     weights = cfg.loss_weights()
     crop_h, crop_w = cfg.resolved_crop()
@@ -297,20 +288,13 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
             target = encode_rank(depth_to_label(depth_gt, th), cfg.k)
 
             tape = Tape()
-            if cfg.mode == "baseline":
-                feats = encode(tape, image, params, net_cfg)
-                term = ordinal_loss(tape, decode_to_logits(tape, feats, params, net_cfg), target)
-                loss = scale(tape, term, cfg.w_ord)
-                parts = {"loss_ord": term.item(), "loss_log": 0.0, "loss_grad": 0.0}
-            else:
-                out = forward(tape, image, params, net_cfg, th)
-                loss, parts = total_loss(tape, out.logits, target, out.refined,
-                                         depth_gt, weights)
+            out = forward(tape, image, params, th)
+            loss, parts = total_loss(tape, out.logits, target, out.refined, depth_gt, weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericalFailure(
                     f"training diverged: loss {loss_val!r} at iteration {it} "
-                    f"(lr={lr_it}, mode={cfg.mode})"
+                    f"(lr={lr_it})"
                 )
             params.zero_grads()
             backward(loss)
@@ -336,7 +320,6 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     if not pairs:
         raise ConfigError(f"split {split!r} of {manifest_path} is empty")
     th = cfg.thresholds()
-    net_cfg = cfg.network_config()
     params = _load_model(cfg, checkpoint)
 
     lines = []
@@ -344,7 +327,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     for img_path, dep_path in pairs:
         sample = read_sample(img_path, dep_path)
         image, depth_gt = _stack_batch([sample])
-        out = forward(None, image, params, net_cfg, th)
+        out = forward(None, image, params, th)
         decoded = {
             "coarse": out.coarse.data,
             "refined": out.refined.data,
@@ -392,7 +375,7 @@ def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, P
         raise ConfigError(f"{image_path}: dimensions ({h}x{w}) must be multiples of 16")
     th = cfg.thresholds()
     params = _load_model(cfg, checkpoint)
-    out = forward(None, Tensor(image_arr[None]), params, cfg.network_config(), th)
+    out = forward(None, Tensor(image_arr[None]), params, th)
     depth = out.refined.data[0]
     conf = out.confidence.data[0]
     paths = {
@@ -448,7 +431,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--set", dest="sets", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key (repeatable)")
-        p.add_argument("--mode", choices=("baseline", "aced"), default=None)
 
     p = sub.add_parser("gen-data", help="write synthetic scenes plus a manifest")
     common(p)
@@ -489,7 +471,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, args.sets, args.seed, args.mode)
+        cfg = load_config(args.config, args.sets, args.seed)
         if args.command == "gen-data":
             manifest = cmd_gen_data(cfg, args.out_dir)
             print(manifest)

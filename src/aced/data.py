@@ -277,37 +277,36 @@ class _HeaderReader:
         return data
 
 
-def read_ppm(path) -> np.ndarray:
+def _read_netpbm(path, magic: str, maxval: int, sample: str, channels: int) -> tuple[np.ndarray, list[str]]:
+    """((channels, H, W) raw samples, header comments) of a binary Netpbm
+    file with the given magic and maxval; `sample` is the numpy dtype of
+    one sample ('u1' or '>u2')."""
     with open(path, "rb") as f:
         buf = f.read()
     r = _HeaderReader(buf, path)
-    magic = r.token()
-    if magic != "P6":
-        raise MalformedHeaderError(f"{path}: expected P6, got {magic!r}")
+    got = r.token()
+    if got != magic:
+        raise MalformedHeaderError(f"{path}: expected {magic}, got {got!r}")
     w = r.int_token("width")
     h = r.int_token("height")
-    maxval = r.int_token("maxval")
-    if maxval != 255:
-        raise MalformedHeaderError(f"{path}: unsupported maxval {maxval}")
-    raw = np.frombuffer(r.payload(3 * h * w), dtype=np.uint8)
-    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    got = r.int_token("maxval")
+    if got != maxval:
+        raise MalformedHeaderError(f"{path}: unsupported maxval {got}")
+    dtype = np.dtype(sample)
+    raw = np.frombuffer(r.payload(channels * h * w * dtype.itemsize), dtype=dtype)
+    return raw.reshape(h, w, channels).transpose(2, 0, 1), r.comments
+
+
+def read_ppm(path) -> np.ndarray:
+    raw, _ = _read_netpbm(path, "P6", 255, "u1", 3)
+    return raw.astype(np.float64) / 255.0
 
 
 def read_pgm16(path) -> tuple[np.ndarray, float]:
     """Returns ((1,H,W) values in meters, scale)."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    r = _HeaderReader(buf, path)
-    magic = r.token()
-    if magic != "P5":
-        raise MalformedHeaderError(f"{path}: expected P5, got {magic!r}")
-    w = r.int_token("width")
-    h = r.int_token("height")
-    maxval = r.int_token("maxval")
-    if maxval != 65535:
-        raise MalformedHeaderError(f"{path}: unsupported maxval {maxval}")
+    raw, comments = _read_netpbm(path, "P5", 65535, ">u2", 1)
     scale = None
-    for comment in r.comments:
+    for comment in comments:
         parts = comment.split()
         if len(parts) == 2 and parts[0] == "scale":
             try:
@@ -316,8 +315,7 @@ def read_pgm16(path) -> tuple[np.ndarray, float]:
                 raise MalformedHeaderError(f"{path}: bad scale {parts[1]!r}") from None
     if scale is None:
         raise MissingScaleError(f"{path}: no '# scale <s>' comment")
-    raw = np.frombuffer(r.payload(2 * h * w), dtype=">u2")
-    return raw.reshape(1, h, w).astype(np.float64) * scale, scale
+    return raw.astype(np.float64) * scale, scale
 
 
 def write_sample(image_path, depth_path, sample: SceneSample, depth_range: DepthRange) -> None:

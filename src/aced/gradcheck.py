@@ -195,7 +195,7 @@ def _check_composed_network(rng, k=4):
     weights = losses.LossWeights(1.0, 1.0, 1.0)
 
     def build(tape):
-        out = network.forward(tape, image, params, config, th)
+        out = network.forward(tape, image, params, th)
         return losses.total_loss(tape, out.logits, target, out.refined, gt, weights)[0]
 
     return build, [t for _, t in params.items()]

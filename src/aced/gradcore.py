@@ -189,16 +189,6 @@ def scalar(value: float) -> Tensor:
     return Tensor(np.full((1, 1, 1, 1), float(value)))
 
 
-class _Node:
-    __slots__ = ("name", "inputs", "output", "backward")
-
-    def __init__(self, name, inputs, output, backward):
-        self.name = name
-        self.inputs = inputs
-        self.output = output
-        self.backward = backward
-
-
 class Tape:
     """Ordered record of operations; inputs of a node always precede it.
 
@@ -208,7 +198,7 @@ class Tape:
     """
 
     def __init__(self, fault_op: str | None = None):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []  # (output, rule)
         self._done = False
         self._fault_op = fault_op
 
@@ -231,7 +221,7 @@ class Tape:
 
         output.needs_grad = True
         output.tape = self
-        self._nodes.append(_Node(name, tuple(inputs), output, backward_fn))
+        self._nodes.append((output, backward_fn))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -263,10 +253,10 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:
-        node = nodes.pop()
-        g = node.output.grad
+        output, rule = nodes.pop()
+        g = output.grad
         if g is not None:
-            node.backward(g)
+            rule(g)
     tape._done = True
 
 

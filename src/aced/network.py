@@ -127,7 +127,7 @@ def _conv(tape, x, params, name, stride=1, padding=1):
     return conv2d(tape, x, params[f"{name}.w"], params[f"{name}.b"], stride, padding)
 
 
-def encode(tape: Tape | None, image: Tensor, params: ParamStore, config: NetworkConfig) -> EncoderFeatures:
+def encode(tape: Tape | None, image: Tensor, params: ParamStore) -> EncoderFeatures:
     """Four stages of (stride-2 conv3x3, relu, conv3x3, relu)."""
     b, c, h, w = image.shape
     if c != IMAGE_CHANNELS:
@@ -143,7 +143,7 @@ def encode(tape: Tape | None, image: Tensor, params: ParamStore, config: Network
     return EncoderFeatures(*feats)
 
 
-def decode_to_logits(tape: Tape | None, feats: EncoderFeatures, params: ParamStore, config: NetworkConfig) -> Tensor:
+def decode_to_logits(tape: Tape | None, feats: EncoderFeatures, params: ParamStore) -> Tensor:
     """Deepest features upsampled x2, concatenated with the matching skip and
     convolved, three times; a 1x1 head emits 2*(K-1) channels at half
     resolution which are then upsampled to full resolution."""
@@ -156,7 +156,7 @@ def decode_to_logits(tape: Tape | None, feats: EncoderFeatures, params: ParamSto
     return upsample_nearest(tape, logits, 2)
 
 
-def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStore, config: NetworkConfig) -> Tensor:
+def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStore) -> Tensor:
     """Each scale refined at its native resolution by a two-conv residual
     block (identity when the branch weights are zero), nearest-upsampled by
     2**i to full resolution, then concatenated and merged with a 1x1
@@ -181,21 +181,19 @@ def refine(tape: Tape | None, coarse: Tensor, conf: Tensor, fused: Tensor, param
     return add(tape, coarse, residual)
 
 
-def forward(
-    tape: Tape | None,
-    image: Tensor,
-    params: ParamStore,
-    config: NetworkConfig,
-    th: SidThresholds,
-) -> ForwardResult:
+def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresholds) -> ForwardResult:
     """One pass: encode, decode to rank logits and probabilities, soft-decode
-    coarse depth plus confidence, fuse multiscale features, refine."""
-    feats = encode(tape, image, params, config)
-    logits = decode_to_logits(tape, feats, params, config)
+    coarse depth plus confidence, fuse multiscale features, refine.
+
+    Every shape follows from `image` and the parameter shapes in `params`
+    (see `init_params`); `th` are the SID thresholds that map the expected
+    label to depth."""
+    feats = encode(tape, image, params)
+    logits = decode_to_logits(tape, feats, params)
     probs = pair_softmax(tape, logits)
     p = expected_label(tape, probs)
     coarse = label_to_depth_op(tape, p, th)
     conf = confidence(tape, probs, p)
-    fused = fuse_multiscale(tape, feats, params, config)
+    fused = fuse_multiscale(tape, feats, params)
     refined = refine(tape, coarse, conf, fused, params)
     return ForwardResult(coarse, conf, refined, probs, logits)

@@ -17,8 +17,8 @@ TINY_SETS = [
 ]
 
 
-def tiny_config(seed=3, mode=None, extra=()):
-    return cli.load_config(sets=TINY_SETS + list(extra), seed=seed, mode=mode)
+def tiny_config(seed=3, extra=()):
+    return cli.load_config(sets=TINY_SETS + list(extra), seed=seed)
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ def _model_ops() -> set[str]:
     depth = rng.fill_uniform((2, 1, net.height, net.width), cfg.alpha, cfg.beta)
     target = encode_rank(depth_to_label(depth, th), cfg.k)
     tape = RecordingTape()
-    out = network.forward(tape, image, params, net, th)
+    out = network.forward(tape, image, params, th)
     total_loss(tape, out.logits, target, out.refined, depth, cfg.loss_weights())
     return set(tape.names)
 

@@ -193,7 +193,7 @@ def spy(tape, x, w, b, stride=1, padding=0):
 
 network.conv2d = spy
 image = gc.Tensor(gc.Rng(1).fill_uniform((cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width)))
-network.forward(None, image, params, net, cfg.thresholds())
+network.forward(None, image, params, cfg.thresholds())
 for name, shape, w, b, stride, padding in calls:
     rng = gc.Rng(gc.derive_seed(2, name))
     x = gc.Tensor(rng.fill_uniform(shape, -1, 1), requires_grad=True)
@@ -380,7 +380,7 @@ class TestBackward:
         pygc.disable()
         try:
             tape = gc.Tape()
-            out = network.forward(tape, image, params, net, cfg.thresholds())
+            out = network.forward(tape, image, params, cfg.thresholds())
             loss = sum_all(tape, out.refined)
             gc.backward(loss)
             dead_tape, dead_loss = weakref.ref(tape), weakref.ref(loss.data)

@@ -13,7 +13,7 @@ def _tiny_model(seed=0):
     net = cfg.network_config()
     params = network.init_params(net, gc.Rng(seed))
     image = gc.Tensor(gc.Rng(seed + 1).fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
-    feats = network.encode(None, image, params, net)
+    feats = network.encode(None, image, params)
     return net, params, feats
 
 
@@ -28,7 +28,7 @@ def test_fusion_blocks_run_at_native_scale(monkeypatch):
         return real(tape, x, w, b, stride, padding)
 
     monkeypatch.setattr(network, "conv2d", spy)
-    fused = network.fuse_multiscale(None, feats, params, net)
+    fused = network.fuse_multiscale(None, feats, params)
     for i, f in enumerate(feats, start=1):
         assert seen[f"fuse{i}.conv1"] == f.shape
         assert seen[f"fuse{i}.conv2"][2:] == f.shape[2:]
@@ -47,7 +47,7 @@ def test_fuse_multiscale_is_the_hand_composition():
         r = conv(gc.relu(None, conv(f, f"fuse{i}.conv1", 1)), f"fuse{i}.conv2", 1)
         blocks.append(gc.upsample_nearest(None, gc.add(None, f, r), 2**i))
     want = conv(gc.concat_channels(None, blocks), "fuse_merge", 0)
-    got = network.fuse_multiscale(None, feats, params, net)
+    got = network.fuse_multiscale(None, feats, params)
     np.testing.assert_array_equal(got.data, want.data)
 
 
@@ -59,7 +59,7 @@ def test_zero_branch_fusion_is_merge_of_upsampled_features():
     ups = [gc.upsample_nearest(None, f, 2**i) for i, f in enumerate(feats, start=1)]
     want = gc.conv2d(None, gc.concat_channels(None, ups), params["fuse_merge.w"],
                      params["fuse_merge.b"], 1, 0)
-    got = network.fuse_multiscale(None, feats, params, net)
+    got = network.fuse_multiscale(None, feats, params)
     np.testing.assert_array_equal(got.data, want.data)
 
 
@@ -68,4 +68,4 @@ def test_encode_takes_rgb_images_only():
     params = network.init_params(net, gc.Rng(0))
     image = gc.Tensor(np.zeros((1, network.IMAGE_CHANNELS + 1, net.height, net.width)))
     with pytest.raises(gc.ShapeMismatchError, match="4 channels"):
-        network.encode(None, image, params, net)
+        network.encode(None, image, params)
