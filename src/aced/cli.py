@@ -333,6 +333,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
             "refined": out.refined.data,
             "hard": hard_decode(out.probs, th),
         }
+        del out  # its logits and probabilities would stay alive through the next forward
         for kind, d in decoded.items():
             rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
             lines.append({"image": Path(img_path).name, "output": kind, **rep})

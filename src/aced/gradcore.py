@@ -5,11 +5,12 @@ gradient buffer. Operations append nodes to an explicit Tape; backward()
 pops the recorded nodes in reverse, accumulates gradients into every tensor
 that needs them, and drops each node once its rule has run. Each output
 points to its tape, so dropping the nodes breaks the output -> tape -> node
--> output cycle: a step's graph is freed by reference counting during
-backward and as the caller lets go of it, not by the cycle collector. The operation
-set is exactly what a small convolutional ordinal-regression network
-needs, all in float64 so analytic gradients can be checked against central
-finite differences.
+-> output cycle: a step's graph is freed by reference counting, not by the
+cycle collector. The operation set is exactly what a small convolutional
+ordinal-regression network needs, all in float64 so analytic gradients can
+be checked against central finite differences. conv2d is one GEMM per
+kernel tap on a flat padded input, no column matrix, with the GEMM width
+rounded up to a multiple of 16 so results do not depend on BLAS threads.
 """
 
 from __future__ import annotations
@@ -231,8 +232,10 @@ def _accum(t: Tensor, g) -> None:
     if not t.needs_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # Copy, never keep g: it may be a broadcast, a slice or another tensor's array.
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -355,20 +358,6 @@ def upsample_nearest(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
-    """Column buffer (c*kh*kw, b*oh*ow) of a channel-major padded input
-    (c, b, H, W); rows are ordered (c, i, j), columns (b, oh, ow). For a
-    1x1 stride-1 kernel this is a reshape of the input itself, not a copy."""
-    c, b = xp.shape[:2]
-    if kh == kw == s == 1:
-        return xp.reshape(c, b * oh * ow)
-    cols = np.empty((c, kh, kw, b, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
-    return cols.reshape(c * kh * kw, b * oh * ow)
-
-
 def conv2d(
     tape: Tape | None,
     x: Tensor,
@@ -382,16 +371,18 @@ def conv2d(
     Output size per axis is (in + 2*padding - k)//stride + 1; rows/columns
     that do not fit a full window are dropped.
 
-    Computed as GEMMs on a column buffer (Chellapilla et al., 2006). The
-    padded input is held channel-major, (c, b, H+2p, W+2p), and the columns
-    have shape (c*kh*kw, b*oh*ow) with rows ordered (c, i, j), built by one
-    strided copy per kernel tap (i, j). Forward is y = W @ cols with W the
-    weight as (oc, c*kh*kw). Backward gives dW = g @ cols.T and
-    dcols = W.T @ g, and scatters dcols back with one strided add per tap
-    (col2im). A 1x1 stride-1 kernel skips both copies: the padded input is
-    the column matrix and dcols is the padded dx. Backward rebuilds the
-    columns from the padded input instead of keeping them on the tape, so
-    only one conv's columns are alive at a time.
+    Computed as one GEMM per kernel tap on a shifted view of the input, with
+    no column matrix (kn2row; Vasudevan et al., ASAP 2017). The input is
+    padded once into a flat channel-major buffer xf of shape (c, n + span):
+    the padded (b, H+2p, W+2p) grid row after row, row width Wp, and
+    span = (kh-1)*Wp + kw-1. Tap (i, j) is the view v = xf[:, i*Wp+j:][:, :n],
+    so the sum over taps of W[:, :, i, j] @ v is the stride-1 output at every
+    grid position. Positions whose window wraps past a row or image edge are
+    dropped; stride 2 keeps every second row and column. Backward embeds g on
+    the same grid: dW[:, :, i, j] = g @ v.T and dxf[v] += W[:, :, i, j].T @ g.
+    n is the grid size rounded up to a multiple of 16 over a zero tail of xf:
+    OpenBLAS computes the last (n mod 8) columns of a GEMM differently at
+    different thread counts, so this keeps results thread-independent.
     """
     b, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
@@ -404,41 +395,48 @@ def conv2d(
     if stride not in (1, 2):
         raise ShapeMismatchError(f"conv2d: stride must be 1 or 2, got {stride}")
     p, s = int(padding), int(stride)
-    oh = (h + 2 * p - kh) // s + 1
-    ow = (w + 2 * p - kw) // s + 1
+    hp, wp = h + 2 * p, w + 2 * p
+    oh = (hp - kh) // s + 1
+    ow = (wp - kw) // s + 1
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(
-            f"conv2d: kernel ({kh}x{kw}) too large for padded input "
-            f"({h + 2 * p}x{w + 2 * p})"
+            f"conv2d: kernel ({kh}x{kw}) too large for padded input ({hp}x{wp})"
         )
-    xp = np.zeros((c, b, h + 2 * p, w + 2 * p))
-    xp[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
-    w2 = weight.data.reshape(oc, c * kh * kw)
-    y = (w2 @ _im2col(xp, kh, kw, s, oh, ow)).reshape(oc, b, oh, ow)
+    grid = b * hp * wp
+    n = -(-grid // 16) * 16
+    span = (kh - 1) * wp + (kw - 1)
+    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    xf = np.zeros((c, n + span))
+    xf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
+    wd = weight.data
+    y = np.empty((oc, n))
+    np.matmul(wd[:, :, 0, 0], xf[:, :n], out=y)
+    for i, j, off in taps[1:]:
+        y += wd[:, :, i, j] @ xf[:, off:off + n]
+    kept = y[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * oh:s, :s * ow:s]
     # Add into a C-ordered buffer; a plain `+` would keep y's (oc, b) order.
     out_data = np.empty((b, oc, oh, ow))
-    np.add(y.transpose(1, 0, 2, 3), bias.data, out=out_data)
+    np.add(kept.transpose(1, 0, 2, 3), bias.data, out=out_data)
     out = Tensor(out_data)
     if _want(tape, x, weight, bias):
         def bwd(g):
             if bias.needs_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
-            g2 = g.transpose(1, 0, 2, 3).reshape(oc, b * oh * ow)
+            gf = np.zeros((oc, n))
+            gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * oh:s, :s * ow:s] = g.transpose(1, 0, 2, 3)
             if weight.needs_grad:
-                cols = _im2col(xp, kh, kw, s, oh, ow)
-                _accum(weight, (g2 @ cols.T).reshape(oc, c, kh, kw))
+                dw = np.empty((oc, c, kh, kw))
+                for i, j, off in taps:
+                    dw[:, :, i, j] = gf @ xf[:, off:off + n].T
+                _accum(weight, dw)
             if x.needs_grad:
-                dcols = (w2.T @ g2).reshape(c, kh, kw, b, oh, ow)
-                if kh == kw == s == 1:
-                    dxp = dcols.reshape(xp.shape)  # one tap covers every pixel
-                else:
-                    dxp = np.zeros_like(xp)
-                    for i in range(kh):
-                        hi = i + s * (oh - 1) + 1
-                        for j in range(kw):
-                            wj = j + s * (ow - 1) + 1
-                            dxp[:, :, i:hi:s, j:wj:s] += dcols[:, i, j]
-                _accum(x, dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
+                dxf = np.empty((c, n + span))
+                np.matmul(wd[:, :, 0, 0].T, gf, out=dxf[:, :n])
+                dxf[:, n:] = 0.0
+                for i, j, off in taps[1:]:
+                    dxf[:, off:off + n] += wd[:, :, i, j].T @ gf
+                dx = dxf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w]
+                _accum(x, dx.transpose(1, 0, 2, 3))
         tape.record("conv2d", (x, weight, bias), out, bwd)
     return out
 

@@ -62,6 +62,19 @@ def test_ordinal_only_training_moves_only_the_encoder_and_decoder(tiny_dataset, 
             assert not np.array_equal(trained[name].data, t.data), name
 
 
+def test_train_moves_every_parameter(tiny_dataset, tmp_path):
+    # Seed 1: both dec1 channels are live at init. At the fixture's seed 3
+    # they are dead, and the decoder and head.w keep their initial values.
+    _, manifest = tiny_dataset
+    cfg = tiny_config(seed=1)
+    ckpt, _ = _train(cfg, manifest, tmp_path)
+    init = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
+    trained = network.init_params(cfg.network_config(), Rng(0))
+    load_checkpoint(trained, ckpt)
+    for name, t in init.items():
+        assert not np.array_equal(trained[name].data, t.data), name
+
+
 def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):
     cfg, manifest = tiny_dataset
     ckpt, _ = _train(cfg, manifest, tmp_path)

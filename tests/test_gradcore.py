@@ -14,6 +14,7 @@ import pytest
 from aced import gradcore as gc
 from aced.gradcheck import PRIMITIVE_TOL, check_gradients, project, run_full_suite
 from aced.ordhead import pair_softmax
+from conftest import TINY_SETS
 
 
 def t4(data, requires_grad=False):
@@ -151,11 +152,18 @@ class TestConv2dReference:
         np.testing.assert_allclose(w.grad, dw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, db, rtol=0, atol=1e-12)
 
-    def test_pointwise_columns_are_the_input_itself(self):
-        xp = gc.Rng(0).fill_uniform((3, 2, 4, 5))
-        cols = gc._im2col(xp, 1, 1, 1, 4, 5)
-        assert cols.shape == (3, 2 * 4 * 5)
-        assert np.shares_memory(cols, xp)
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("hw", [(7, 5), (8, 6)])
+    def test_stride_two_is_the_subsampled_stride_one_grid(self, padding, k, hw):
+        rng = gc.Rng(gc.derive_seed(7, padding, k, *hw))
+        x = t4(rng.fill_uniform((2, 3, *hw), -1, 1))
+        w = t4(rng.fill_uniform((4, 3, k, k), -1, 1))
+        b = t4(rng.fill_uniform((1, 4, 1, 1), -1, 1))
+        full = gc.conv2d(None, x, w, b, stride=1, padding=padding).data
+        half = gc.conv2d(None, x, w, b, stride=2, padding=padding).data
+        oh, ow = half.shape[2:]
+        np.testing.assert_array_equal(half, full[:, :, 0:2 * oh:2, 0:2 * ow:2])
 
     def test_stride_two_drops_last_row(self):
         # 8 rows, k=3, no padding, stride 2: windows start at rows 0, 2, 4;
@@ -171,30 +179,39 @@ class TestConv2dReference:
         assert x.grad[0, 0, 6].sum() > 0
 
 
-# Runs every conv of the default-config network (inputs drawn per conv,
-# weights from the initialised store) forward and backward, and prints one
-# sha256 per conv over the output and the three gradients.
+# Runs every conv of the network (inputs drawn per conv, weights from the
+# initialised store) forward and backward, and prints one sha256 per conv
+# over the output and the three gradients. It does so for the default config
+# at its training batch and at batch 1 (as `eval` runs), for the config given
+# by the arguments at its training batch, and for one 1x1 conv whose grid of
+# 46*201 = 9246 columns (not a multiple of 8) is all kept outputs.
 _CONV_HASH_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from aced import cli, gradcore as gc, network
 from aced.gradcheck import project
 
-cfg = cli.load_config(seed=0)
-net = cfg.network_config()
-params = network.init_params(net, gc.Rng(0))
-names = {id(t): n[:-2] for n, t in params.items()}
-calls = []
 real = network.conv2d
 
-def spy(tape, x, w, b, stride=1, padding=0):
-    calls.append((names[id(w)], x.shape, w, b, stride, padding))
-    return real(tape, x, w, b, stride, padding)
+def conv_calls(sets, batch):
+    cfg = cli.load_config(sets=sets, seed=0)
+    net = cfg.network_config()
+    params = network.init_params(net, gc.Rng(0))
+    names = {id(t): n[:-2] for n, t in params.items()}
+    calls = []
 
-network.conv2d = spy
-image = gc.Tensor(gc.Rng(1).fill_uniform((cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width)))
-network.forward(None, image, params, cfg.thresholds())
-for name, shape, w, b, stride, padding in calls:
+    def spy(tape, x, w, b, stride=1, padding=0):
+        calls.append((names[id(w)], x.shape, w, b, stride, padding))
+        return real(tape, x, w, b, stride, padding)
+
+    network.conv2d = spy
+    shape = (batch or cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width)
+    network.forward(None, gc.Tensor(gc.Rng(1).fill_uniform(shape)), params, cfg.thresholds())
+    network.conv2d = real
+    return calls
+
+def print_hash(label, name, shape, w, b, stride, padding):
     rng = gc.Rng(gc.derive_seed(2, name))
     x = gc.Tensor(rng.fill_uniform(shape, -1, 1), requires_grad=True)
     tape = gc.Tape()
@@ -204,7 +221,15 @@ for name, shape, w, b, stride, padding in calls:
     h = hashlib.sha256()
     for a in (out.data, x.grad, w.grad, b.grad):
         h.update(np.ascontiguousarray(a).tobytes())
-    print(name, h.hexdigest())
+    print(label, name, h.hexdigest())
+
+for label, sets, batch in (("train", [], None), ("eval", [], 1), ("args", sys.argv[1:], None)):
+    for call in conv_calls(sets, batch):
+        print_hash(label, *call)
+rng = gc.Rng(5)
+w = gc.Tensor(rng.fill_uniform((16, 18, 1, 1), -1, 1), requires_grad=True)
+b = gc.Tensor(rng.fill_uniform((1, 16, 1, 1), -1, 1), requires_grad=True)
+print_hash("odd", "pointwise", (1, 18, 46, 201), w, b, 1, 0)
 """
 
 
@@ -214,7 +239,7 @@ def _conv_hashes(threads: int) -> str:
         env[var] = str(threads)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _CONV_HASH_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", _CONV_HASH_SCRIPT, *TINY_SETS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -222,7 +247,7 @@ def _conv_hashes(threads: int) -> str:
 
 def test_conv_results_do_not_depend_on_blas_threads():
     one, two = _conv_hashes(1), _conv_hashes(2)
-    assert len(one.splitlines()) == 23  # every conv of the network
+    assert len(one.splitlines()) == 3 * 23 + 1  # every conv of the network, per config
     assert one == two
 
 
