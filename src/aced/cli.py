@@ -43,6 +43,7 @@ from .gradcore import (
     load_checkpoint,
     poly_lr,
     save_checkpoint,
+    upsample_nearest,
 )
 from .losses import LossWeights, total_loss
 from .metrics import MetricsError, compute_metrics
@@ -328,10 +329,11 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         sample = read_sample(img_path, dep_path)
         image, depth_gt = _stack_batch([sample])
         out = forward(None, image, params, th)
+        hard = Tensor(hard_decode(out.probs, th))  # at the head's resolution
         decoded = {
             "coarse": out.coarse.data,
             "refined": out.refined.data,
-            "hard": hard_decode(out.probs, th),
+            "hard": upsample_nearest(None, hard, image.shape[2] // hard.shape[2]).data,
         }
         del out  # its logits and probabilities would stay alive through the next forward
         for kind, d in decoded.items():

@@ -166,8 +166,9 @@ def _rank_target(rng, k, shape):
 
 
 def _check_ordinal_loss(rng, k=5):
+    """Logits at half the target's resolution, as the model's head emits them."""
     z = _rt(rng, (2, 2 * (k - 1), 4, 4), -12.0, 12.0)  # some |d| > 16: saturated
-    target = _rank_target(rng, k, (2, 1, 4, 4))
+    target = _rank_target(rng, k, (2, 1, 8, 8))
     def build(tape):
         return ordhead.ordinal_loss(tape, z, target)
     return build, [z]
@@ -215,6 +216,8 @@ _COMPONENTS = [
     ("concat_channels",
      _probed(lambda tape, *parts: gc.concat_channels(tape, parts),
              [(1, c, 4, 4) for c in (1, 2, 3)]), PRIMITIVE_TOL),
+    ("slice_channels",
+     _probed(lambda tape, x: gc.slice_channels(tape, x, 1, 3), [(2, 4, 3, 3)]), PRIMITIVE_TOL),
     ("pair_softmax", _probed(ordhead.pair_softmax, [(1, 6, 4, 4)], -2.0, 2.0), PRIMITIVE_TOL),
     ("expected_label", _probed(ordhead.expected_label, [(1, 4, 4, 4)], 0.0, 1.0),
      PRIMITIVE_TOL),

@@ -36,6 +36,7 @@ __all__ = [
     "scale",
     "relu",
     "concat_channels",
+    "slice_channels",
     "upsample_nearest",
     "conv2d",
     "backward",
@@ -335,25 +336,48 @@ def concat_channels(tape: Tape | None, inputs: Sequence[Tensor]) -> Tensor:
     return out
 
 
+def slice_channels(tape: Tape | None, x: Tensor, lo: int, hi: int) -> Tensor:
+    """Channels lo:hi of x, the inverse of concat_channels."""
+    if not 0 <= lo < hi <= x.shape[1]:
+        raise ShapeMismatchError(
+            f"slice_channels: [{lo}:{hi}] is not a channel range of shape {x.shape}")
+    out = Tensor(x.data[:, lo:hi].copy())
+    if _want(tape, x):
+        def bwd(g):
+            dx = np.zeros_like(x.data)
+            dx[:, lo:hi] = g
+            _accum(x, dx)
+        tape.record("slice_channels", (x,), out, bwd)
+    return out
+
+
+def _block_sum(a: np.ndarray, f: int) -> np.ndarray:
+    """Sum of each f x f block of a (b, c, h*f, w*f) array, shape (b, c, h, w).
+
+    Adds the f row slices of a (b, c, h, f, w*f) view, then the f column taps
+    of the result: one strided axis at a time, faster than one two-axis sum.
+    """
+    b, c, hf, wf = a.shape
+    h, w = hf // f, wf // f
+    rows = a.reshape(b, c, h, f, wf)
+    acc = rows[:, :, :, 0].copy()
+    for k in range(1, f):
+        acc += rows[:, :, :, k]
+    taps = acc.reshape(b, c, h, w, f)
+    out = taps[..., 0].copy()
+    for k in range(1, f):
+        out += taps[..., k]
+    return out
+
+
 def upsample_nearest(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ShapeMismatchError(f"upsample_nearest: factor must be >= 1, got {factor}")
     f = int(factor)
     out = Tensor(x.data.repeat(f, axis=2).repeat(f, axis=3))
     if _want(tape, x):
-        b, c, h, w = x.shape
         def bwd(g):
-            # Sum the f row slices of a (b, c, h, f, w*f) view, then the f
-            # column taps of the result: one strided axis at a time.
-            rows = g.reshape(b, c, h, f, w * f)
-            acc = rows[:, :, :, 0].copy()
-            for k in range(1, f):
-                acc += rows[:, :, :, k]
-            taps = acc.reshape(b, c, h, w, f)
-            dx = taps[..., 0].copy()
-            for k in range(1, f):
-                dx += taps[..., k]
-            _accum(x, dx)
+            _accum(x, _block_sum(g, f))
         tape.record("upsample_nearest", (x,), out, bwd)
     return out
 

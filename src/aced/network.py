@@ -1,8 +1,15 @@
 """Toy-scale depth network: a 4-stage convolutional encoder, a skip-connected
-decoder producing rank logits, multiscale feature fusion (a residual block
-per scale at its native resolution, then a nearest upsample to full
-resolution), and an additive-residual refinement head driven by coarse
-depth, confidence and fused features.
+decoder producing rank logits at half resolution, the ordinal head (paired
+classifiers, expected-label decode, confidence) run at that resolution,
+multiscale feature fusion (a residual block and a 1x1 merge per scale at its
+native resolution, summed top-down), and an additive-residual refinement
+head driven by coarse depth, confidence and fused features at full
+resolution.
+
+Nearest upsampling commutes with every per-pixel map and every 1x1
+convolution, so both run before the upsample, as in the top-down pathway of
+a feature pyramid network (Lin et al., CVPR 2017): the same values as
+upsampling first, at a fraction of the work.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .gradcore import (
     ParamStore,
@@ -21,6 +30,7 @@ from .gradcore import (
     concat_channels,
     conv2d,
     relu,
+    slice_channels,
     upsample_nearest,
 )
 from .ordhead import confidence, expected_label, pair_softmax
@@ -73,6 +83,10 @@ class EncoderFeatures(NamedTuple):
 
 
 class ForwardResult(NamedTuple):
+    """coarse, confidence and refined are (B, 1, H, W) at the input's
+    resolution; probs (B, K-1, H/2, W/2) and logits (B, 2(K-1), H/2, W/2) are
+    at the head's half resolution."""
+
     coarse: Tensor
     confidence: Tensor
     refined: Tensor
@@ -145,31 +159,40 @@ def encode(tape: Tape | None, image: Tensor, params: ParamStore) -> EncoderFeatu
 
 def decode_to_logits(tape: Tape | None, feats: EncoderFeatures, params: ParamStore) -> Tensor:
     """Deepest features upsampled x2, concatenated with the matching skip and
-    convolved, three times; a 1x1 head emits 2*(K-1) channels at half
-    resolution which are then upsampled to full resolution."""
+    convolved, three times; a 1x1 head then emits 2*(K-1) channels at half
+    resolution, the resolution of the 1/2-scale skip."""
     x = feats.f4
     for name, skip in (("dec3", feats.f3), ("dec2", feats.f2), ("dec1", feats.f1)):
         x = upsample_nearest(tape, x, 2)
         x = concat_channels(tape, [x, skip])
         x = relu(tape, _conv(tape, x, params, name))
-    logits = conv2d(tape, x, params["head.w"], params["head.b"], 1, 0)
-    return upsample_nearest(tape, logits, 2)
+    return conv2d(tape, x, params["head.w"], params["head.b"], 1, 0)
 
 
 def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStore) -> Tensor:
-    """Each scale refined at its native resolution by a two-conv residual
-    block (identity when the branch weights are zero), nearest-upsampled by
-    2**i to full resolution, then concatenated and merged with a 1x1
-    convolution. Running the block before the upsample, as in a feature
-    pyramid network (Lin et al., CVPR 2017), needs 4**i times fewer MACs
-    than running it on the upsampled map."""
-    refined = []
-    for i, f in enumerate(feats, start=1):
+    """Each scale i refined at its native resolution by a two-conv residual
+    block h_i (identity when the branch weights are zero) and merged there by
+    its slice of the 1x1 `fuse_merge` conv, m_i = conv1x1(h_i, W[:, lo_i:hi_i]),
+    the bias on the 1/16 branch only. From the coarsest scale down,
+    m = up2(m) + m_i; a last up2 brings m to full resolution.
+
+    This is the 1x1 merge of the concatenated, upsampled h_i up to the order
+    of the sums, at 4**i times fewer MACs per branch."""
+    w = params["fuse_merge.w"]
+    bias = params["fuse_merge.b"]
+    no_bias = Tensor(np.zeros(bias.shape))
+    hi = w.shape[1]
+    merged = None
+    for i in range(len(feats), 0, -1):
+        f = feats[i - 1]
         r = relu(tape, _conv(tape, f, params, f"fuse{i}.conv1"))
         r = _conv(tape, r, params, f"fuse{i}.conv2")
-        refined.append(upsample_nearest(tape, add(tape, f, r), 2**i))
-    merged = concat_channels(tape, refined)
-    return conv2d(tape, merged, params["fuse_merge.w"], params["fuse_merge.b"], 1, 0)
+        lo = hi - f.shape[1]
+        m = conv2d(tape, add(tape, f, r), slice_channels(tape, w, lo, hi),
+                   bias if merged is None else no_bias, 1, 0)
+        merged = m if merged is None else add(tape, upsample_nearest(tape, merged, 2), m)
+        hi = lo
+    return upsample_nearest(tape, merged, 2)
 
 
 def refine(tape: Tape | None, coarse: Tensor, conf: Tensor, fused: Tensor, params: ParamStore) -> Tensor:
@@ -182,8 +205,10 @@ def refine(tape: Tape | None, coarse: Tensor, conf: Tensor, fused: Tensor, param
 
 
 def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresholds) -> ForwardResult:
-    """One pass: encode, decode to rank logits and probabilities, soft-decode
-    coarse depth plus confidence, fuse multiscale features, refine.
+    """One pass: encode, decode to rank logits, then at their half resolution
+    the probabilities, the soft-decoded coarse depth and the confidence;
+    upsample coarse depth and confidence to full resolution, fuse multiscale
+    features, refine.
 
     Every shape follows from `image` and the parameter shapes in `params`
     (see `init_params`); `th` are the SID thresholds that map the expected
@@ -192,8 +217,8 @@ def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresho
     logits = decode_to_logits(tape, feats, params)
     probs = pair_softmax(tape, logits)
     p = expected_label(tape, probs)
-    coarse = label_to_depth_op(tape, p, th)
-    conf = confidence(tape, probs, p)
+    coarse = upsample_nearest(tape, label_to_depth_op(tape, p, th), 2)
+    conf = upsample_nearest(tape, confidence(tape, probs, p), 2)
     fused = fuse_multiscale(tape, feats, params)
     refined = refine(tape, coarse, conf, fused, params)
     return ForwardResult(coarse, conf, refined, probs, logits)

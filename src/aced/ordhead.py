@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradcore import DomainError, ShapeMismatchError, Tape, Tensor, _accum
+from .gradcore import DomainError, ShapeMismatchError, Tape, Tensor, _accum, _block_sum
 
 __all__ = [
     "pair_softmax",
@@ -60,22 +60,35 @@ def ordinal_loss(tape: Tape | None, logits: Tensor, target: np.ndarray) -> Tenso
     DORN (Fu et al., CVPR 2018), the term of classifier k is
     softplus(d_k) - t_k*d_k: exact for every finite logit, with a gradient
     sigmoid(d_k) - t_k that a saturated, wrong classifier does not lose.
+
+    The target may be at an integer multiple f of the logits' resolution:
+    each logit pixel then stands for the f x f target pixels that nearest
+    upsampling would copy it to. With T_k the count of 1-bits of those
+    children, their summed term is f^2*softplus(d_k) - T_k*d_k, with gradient
+    f^2*sigmoid(d_k) - T_k, and the mean runs over the target's pixels. This
+    is the loss of the upsampled logits at 1/f^2 of the work; at f = 1 it is
+    the same arithmetic.
     """
     d = _pair_margins("ordinal_loss", logits)
-    if target.shape != d.shape:
+    b, c, h, w = d.shape
+    f = target.shape[-1] // w if target.ndim == 4 else 0
+    if f < 1 or target.shape != (b, c, f * h, f * w):
         raise ShapeMismatchError(f"ordinal_loss: target shape {target.shape} does "
                                  f"not pair with logits shape {logits.shape}")
-    if np.any(np.diff(target, axis=1) > 0):
+    if np.any(target[:, 1:] > target[:, :-1]):
         raise DomainError("ordinal_loss: target rank vectors must be non-increasing")
-    # softplus(d) = max(d, 0) + log1p(exp(-|d|)); max(d, 0) - t*d is exact
-    # for t in {0, 1}, so a correct, saturated classifier costs ~exp(-|d|).
-    per_entry = np.maximum(d, 0.0) - target * d + np.log1p(np.exp(-np.abs(d)))
-    count = float(d.size // d.shape[1])  # pixels
+    counts = _block_sum(target, f)
+    f2 = float(f * f)
+    # softplus(d) = max(d, 0) + log1p(exp(-|d|)); f2*max(d, 0) - T*d cancels
+    # exactly when all children agree with the sign of d (T = f2 for d > 0,
+    # T = 0 for d < 0), so a correct, saturated classifier costs ~exp(-|d|).
+    per_entry = f2 * np.maximum(d, 0.0) - counts * d + f2 * np.log1p(np.exp(-np.abs(d)))
+    count = float(b * f * h * f * w)  # target pixels
     out = Tensor(np.full((1, 1, 1, 1), per_entry.sum() / count))
     if tape is not None and logits.needs_grad:
         def bwd(g):
             gs = float(g.reshape(())) / count
-            _accum_pair_margins(logits, gs * (_stable_sigmoid(d) - target))
+            _accum_pair_margins(logits, gs * (f2 * _stable_sigmoid(d) - counts))
         tape.record("ordinal_loss", (logits,), out, bwd)
     return out
 

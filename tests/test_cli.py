@@ -2,7 +2,7 @@
 train, eval, infer and render chain; train logs the terms its loss summed;
 ordinal-only training leaves the fusion and refinement untouched; eval
 prints one aggregate per output; exit code 1 for a usage error and 2 for a
-failed gradient check."""
+failed gradient check; eval's hard decode is that of the upsampled head."""
 
 import json
 from pathlib import Path
@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from aced import cli, network
-from aced.data import read_pgm16, read_ppm
-from aced.gradcore import Rng, derive_seed, load_checkpoint
+from aced.data import read_manifest, read_pgm16, read_ppm
+from aced.gradcore import Rng, Tensor, derive_seed, load_checkpoint, save_checkpoint, upsample_nearest
+from aced.ordhead import pair_softmax
+from aced.sid import hard_decode
 from conftest import TINY_SETS, tiny_config
 
 
@@ -84,6 +86,30 @@ def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [rec["output"] for rec in lines] == ["coarse", "refined", "hard"]
     assert all(rec["aggregate"] for rec in lines)
+
+
+def test_eval_hard_decode_is_the_hard_decode_of_the_upsampled_head(tiny_dataset, tmp_path,
+                                                                    monkeypatch):
+    cfg, manifest = tiny_dataset
+    params = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(params, ckpt)
+    calls = []
+    real = cli.compute_metrics
+
+    def spy(depth, *args):
+        calls.append(depth)
+        return real(depth, *args)
+
+    monkeypatch.setattr(cli, "compute_metrics", spy)
+    cli.cmd_eval(cfg, ckpt, manifest)
+    pairs = cli._split_pairs(cfg, read_manifest(manifest), "holdout")
+    assert len(calls) == 3 * len(pairs)  # coarse, refined, hard per image
+    th = cfg.thresholds()
+    for (img_path, _), got in zip(pairs, calls[2::3]):
+        out = network.forward(None, Tensor(read_ppm(img_path)[None]), params, th)
+        probs = pair_softmax(None, upsample_nearest(None, out.logits, 2))
+        np.testing.assert_array_equal(got, hard_decode(probs, th))
 
 
 def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aced import gradcore as gc
 from aced.gradcheck import PRIMITIVE_TOL, check_gradients, project, run_full_suite
@@ -165,6 +167,29 @@ class TestConv2dReference:
         oh, ow = half.shape[2:]
         np.testing.assert_array_equal(half, full[:, :, 0:2 * oh:2, 0:2 * ow:2])
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_matches_nested_loops_on_drawn_shapes(self, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        n, c, oc = draw(1, 3), draw(1, 4), draw(1, 4)
+        kh, kw, padding = draw(1, 4), draw(1, 4), draw(0, 2)
+        stride = data.draw(st.sampled_from([1, 2]))
+        # Only legal shapes: the padded input holds at least one window.
+        h, w = draw(max(1, kh - 2 * padding), 9), draw(max(1, kw - 2 * padding), 9)
+        rng = gc.Rng(gc.derive_seed(draw(0, 2**32), "drawn"))
+        x = t4(rng.fill_uniform((n, c, h, w), -1, 1), requires_grad=True)
+        wt = t4(rng.fill_uniform((oc, c, kh, kw), -1, 1), requires_grad=True)
+        b = t4(rng.fill_uniform((1, oc, 1, 1), -1, 1), requires_grad=True)
+        tape = gc.Tape()
+        out = gc.conv2d(tape, x, wt, b, stride=stride, padding=padding)
+        want, naive_backward = naive_conv2d(x.data, wt.data, b.data, stride, padding)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        g = rng.fill_uniform(out.shape, -1, 1)
+        gc.backward(sum_all(tape, out, g))
+        for got, ref in zip((x.grad, wt.grad, b.grad), naive_backward(g)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
     def test_stride_two_drops_last_row(self):
         # 8 rows, k=3, no padding, stride 2: windows start at rows 0, 2, 4;
         # row 7 is read by none, so its gradient is exactly zero.
@@ -180,11 +205,12 @@ class TestConv2dReference:
 
 
 # Runs every conv of the network (inputs drawn per conv, weights from the
-# initialised store) forward and backward, and prints one sha256 per conv
-# over the output and the three gradients. It does so for the default config
-# at its training batch and at batch 1 (as `eval` runs), for the config given
-# by the arguments at its training batch, and for one 1x1 conv whose grid of
-# 46*201 = 9246 columns (not a multiple of 8) is all kept outputs.
+# initialised store, a slice of fuse_merge.w named fuse_merge[lo:hi]) forward
+# and backward, and prints one sha256 per conv over the output and the three
+# gradients. It does so for the default config at its training batch and at
+# batch 1 (as `eval` runs), for the config given by the arguments at its
+# training batch, and for one 1x1 conv whose grid of 46*201 = 9246 columns
+# (not a multiple of 8) is all kept outputs.
 _CONV_HASH_SCRIPT = """
 import hashlib
 import sys
@@ -193,6 +219,7 @@ from aced import cli, gradcore as gc, network
 from aced.gradcheck import project
 
 real = network.conv2d
+real_slice = network.slice_channels
 
 def conv_calls(sets, batch):
     cfg = cli.load_config(sets=sets, seed=0)
@@ -205,15 +232,21 @@ def conv_calls(sets, batch):
         calls.append((names[id(w)], x.shape, w, b, stride, padding))
         return real(tape, x, w, b, stride, padding)
 
-    network.conv2d = spy
+    def slice_spy(tape, x, lo, hi):
+        out = real_slice(tape, x, lo, hi)
+        names[id(out)] = f"{names[id(x)]}[{lo}:{hi}]"
+        return out
+
+    network.conv2d, network.slice_channels = spy, slice_spy
     shape = (batch or cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width)
     network.forward(None, gc.Tensor(gc.Rng(1).fill_uniform(shape)), params, cfg.thresholds())
-    network.conv2d = real
+    network.conv2d, network.slice_channels = real, real_slice
     return calls
 
 def print_hash(label, name, shape, w, b, stride, padding):
     rng = gc.Rng(gc.derive_seed(2, name))
     x = gc.Tensor(rng.fill_uniform(shape, -1, 1), requires_grad=True)
+    w, b = (gc.Tensor(t.data, requires_grad=True) for t in (w, b))
     tape = gc.Tape()
     out = real(tape, x, w, b, stride, padding)
     probe = rng.fill_uniform(out.shape, -1, 1)
@@ -247,8 +280,28 @@ def _conv_hashes(threads: int) -> str:
 
 def test_conv_results_do_not_depend_on_blas_threads():
     one, two = _conv_hashes(1), _conv_hashes(2)
-    assert len(one.splitlines()) == 3 * 23 + 1  # every conv of the network, per config
+    assert len(one.splitlines()) == 3 * 26 + 1  # every conv of the network, per config
     assert one == two
+
+
+class TestSliceChannels:
+    def test_inverts_concat(self):
+        rng = gc.Rng(4)
+        parts = [t4(rng.fill_uniform((2, c, 3, 2))) for c in (1, 3, 2)]
+        whole = gc.concat_channels(None, parts)
+        for part, (lo, hi) in zip(parts, ((0, 1), (1, 4), (4, 6))):
+            np.testing.assert_array_equal(gc.slice_channels(None, whole, lo, hi).data, part.data)
+
+    def test_gradient_lands_in_the_slice(self):
+        x = t4(np.ones((1, 4, 2, 2)), requires_grad=True)
+        tape = gc.Tape()
+        gc.backward(sum_all(tape, gc.slice_channels(tape, x, 1, 3)))
+        np.testing.assert_array_equal(x.grad[0, :, 0, 0], [0.0, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 2), (3, 1), (0, 5)])
+    def test_bad_range_rejected(self, lo, hi):
+        with pytest.raises(gc.ShapeMismatchError, match="slice_channels"):
+            gc.slice_channels(None, t4(np.zeros((1, 4, 2, 2))), lo, hi)
 
 
 class TestUpsample:

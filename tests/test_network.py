@@ -1,10 +1,13 @@
-"""Network graph layout: the RGB input, and where the multiscale fusion blocks run."""
+"""Network graph layout: the RGB input, where the multiscale fusion blocks and
+merge run, and the ordinal head at half resolution."""
 
 import numpy as np
 import pytest
 
 from aced import gradcore as gc
 from aced import network
+from aced.ordhead import confidence, expected_label, pair_softmax
+from aced.sid import label_to_depth_op
 from conftest import tiny_config
 
 
@@ -17,36 +20,62 @@ def _tiny_model(seed=0):
     return net, params, feats
 
 
+def _top_down(hs, params):
+    """The FPN merge built by hand: each h_i through its column slice of
+    fuse_merge.w (bias on the coarsest only), summed from the coarsest scale
+    down with a x2 upsample between scales, then upsampled x2."""
+    w, bias = params["fuse_merge.w"].data, params["fuse_merge.b"]
+    bounds = np.cumsum([0] + [h.shape[1] for h in hs])
+    merged = None
+    for i in range(len(hs) - 1, -1, -1):
+        wi = gc.Tensor(w[:, bounds[i]:bounds[i + 1]])
+        bi = bias if merged is None else gc.Tensor(np.zeros(bias.shape))
+        m = gc.conv2d(None, hs[i], wi, bi, 1, 0)
+        merged = m if merged is None else gc.add(None, gc.upsample_nearest(None, merged, 2), m)
+    return gc.upsample_nearest(None, merged, 2)
+
+
+def _blocks(feats, params):
+    """Each scale's residual block output, at its native resolution."""
+    def conv(x, name):
+        return gc.conv2d(None, x, params[f"{name}.w"], params[f"{name}.b"], 1, 1)
+
+    return [gc.add(None, f, conv(gc.relu(None, conv(f, f"fuse{i}.conv1")), f"fuse{i}.conv2"))
+            for i, f in enumerate(feats, start=1)]
+
+
 def test_fusion_blocks_run_at_native_scale(monkeypatch):
     net, params, feats = _tiny_model()
     names = {id(t): n[:-2] for n, t in params.items()}
     seen = {}
-    real = network.conv2d
+    real_conv, real_slice = network.conv2d, network.slice_channels
 
     def spy(tape, x, w, b, stride=1, padding=0):
         seen[names[id(w)]] = x.shape
-        return real(tape, x, w, b, stride, padding)
+        return real_conv(tape, x, w, b, stride, padding)
+
+    def slice_spy(tape, x, lo, hi):
+        out = real_slice(tape, x, lo, hi)
+        names[id(out)] = f"{names[id(x)]}[{lo}:{hi}]"
+        return out
 
     monkeypatch.setattr(network, "conv2d", spy)
+    monkeypatch.setattr(network, "slice_channels", slice_spy)
     fused = network.fuse_multiscale(None, feats, params)
+    lo = 0
     for i, f in enumerate(feats, start=1):
         assert seen[f"fuse{i}.conv1"] == f.shape
         assert seen[f"fuse{i}.conv2"][2:] == f.shape[2:]
-    assert seen["fuse_merge"][2:] == (net.height, net.width)
+        assert seen[f"fuse_merge[{lo}:{lo + f.shape[1]}]"] == f.shape
+        lo += f.shape[1]
+    assert len(seen) == 3 * len(feats)
+    assert all(shape[2:] != (net.height, net.width) for shape in seen.values())
     assert fused.shape == (2, net.fusion_width, net.height, net.width)
 
 
 def test_fuse_multiscale_is_the_hand_composition():
     net, params, feats = _tiny_model()
-
-    def conv(x, name, padding):
-        return gc.conv2d(None, x, params[f"{name}.w"], params[f"{name}.b"], 1, padding)
-
-    blocks = []
-    for i, f in enumerate(feats, start=1):
-        r = conv(gc.relu(None, conv(f, f"fuse{i}.conv1", 1)), f"fuse{i}.conv2", 1)
-        blocks.append(gc.upsample_nearest(None, gc.add(None, f, r), 2**i))
-    want = conv(gc.concat_channels(None, blocks), "fuse_merge", 0)
+    want = _top_down(_blocks(feats, params), params)
     got = network.fuse_multiscale(None, feats, params)
     np.testing.assert_array_equal(got.data, want.data)
 
@@ -56,11 +85,33 @@ def test_zero_branch_fusion_is_merge_of_upsampled_features():
     for i in range(1, 5):
         params[f"fuse{i}.conv2.w"].data[...] = 0.0
         params[f"fuse{i}.conv2.b"].data[...] = 0.0
-    ups = [gc.upsample_nearest(None, f, 2**i) for i, f in enumerate(feats, start=1)]
+    want = _top_down(list(feats), params)
+    got = network.fuse_multiscale(None, feats, params)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_top_down_merge_is_the_full_resolution_merge():
+    # The 1x1 merge of the concatenated, upsampled blocks: the same sum in
+    # another order.
+    net, params, feats = _tiny_model()
+    blocks = _blocks(feats, params)
+    ups = [gc.upsample_nearest(None, h, 2**i) for i, h in enumerate(blocks, start=1)]
     want = gc.conv2d(None, gc.concat_channels(None, ups), params["fuse_merge.w"],
                      params["fuse_merge.b"], 1, 0)
     got = network.fuse_multiscale(None, feats, params)
-    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+
+def test_head_at_half_resolution_is_the_head_of_the_upsampled_logits():
+    net, params, _ = _tiny_model()
+    th = tiny_config().thresholds()
+    image = gc.Tensor(gc.Rng(7).fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
+    out = network.forward(None, image, params, th)
+    assert out.logits.shape[2:] == (net.height // 2, net.width // 2)
+    probs = pair_softmax(None, gc.upsample_nearest(None, out.logits, 2))
+    p = expected_label(None, probs)
+    np.testing.assert_array_equal(out.coarse.data, label_to_depth_op(None, p, th).data)
+    np.testing.assert_array_equal(out.confidence.data, confidence(None, probs, p).data)
 
 
 def test_encode_takes_rgb_images_only():

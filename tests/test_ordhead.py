@@ -162,6 +162,40 @@ class TestOrdinalLoss:
         with pytest.raises(gc.DomainError, match="non-increasing"):
             ordinal_loss(None, margins_tensor([0.0, 0.0]), bad)
 
+    def test_pooled_target_is_the_loss_of_the_upsampled_logits(self):
+        # Logits at half the target's resolution (f = 2) against the same
+        # logits upsampled to it (f = 1): value and gradient agree.
+        k = 5
+        rng = gc.Rng(23)
+        z_half = rng.fill_uniform((2, 2 * (k - 1), 3, 4), -12.0, 12.0)
+        labels = np.array([rng.randint(0, k - 1) for _ in range(2 * 6 * 8)]).reshape(2, 1, 6, 8)
+        target = encode_rank(labels, k)
+        results = []
+        for upsample_first in (False, True):
+            z = gc.Tensor(z_half.copy(), requires_grad=True)
+            tape = gc.Tape()
+            logits = gc.upsample_nearest(tape, z, 2) if upsample_first else z
+            loss = ordinal_loss(tape, logits, target)
+            gc.backward(loss)
+            results.append((loss.item(), z.grad))
+        (pooled, g_pooled), (full, g_full) = results
+        assert pooled == pytest.approx(full, rel=1e-12)
+        np.testing.assert_allclose(g_pooled, g_full, rtol=1e-12, atol=0)
+
+    def test_target_size_must_be_a_multiple_of_the_logits(self):
+        z = gc.Tensor(np.zeros((1, 4, 2, 2)))
+        for hw in ((3, 3), (5, 4), (4, 6), (1, 1)):
+            with pytest.raises(gc.ShapeMismatchError, match="pair"):
+                ordinal_loss(None, z, rank_target(1, 3, (1, 1, *hw)))
+
+    def test_pooled_target_is_checked_at_full_resolution(self):
+        # Children [0, 1] and [1, 0] pool to the non-increasing counts [1, 1].
+        target = np.zeros((1, 2, 2, 2))
+        target[0, :, 0, 0] = [0.0, 1.0]
+        target[0, :, 0, 1] = [1.0, 0.0]
+        with pytest.raises(gc.DomainError, match="non-increasing"):
+            ordinal_loss(None, margins_tensor([0.0, 0.0]), target)
+
     def test_gradient_vs_finite_differences(self):
         rng = gc.Rng(31)
         z = gc.Tensor(rng.fill_uniform((1, 8, 3, 3), -2, 2), requires_grad=True)
