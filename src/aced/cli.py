@@ -73,14 +73,6 @@ class NumericalFailure(Exception):
     pass
 
 
-def _parse_bool(v: str) -> bool:
-    if v == "true":
-        return True
-    if v == "false":
-        return False
-    raise ValueError(f"expected 'true' or 'false', got {v!r}")
-
-
 # key -> (parser, default). Defaults are desk-scale: small widths and few
 # iterations so the whole pipeline runs in minutes on one thread.
 _SCHEMA: dict[str, tuple] = {
@@ -92,11 +84,7 @@ _SCHEMA: dict[str, tuple] = {
     "base_width": (int, 4),
     "fusion_width": (int, 16),
     "lr": (float, 5e-3),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "eps": (float, 1e-8),
     "max_iter": (int, 500),
-    "lr_power": (float, 0.9),
     "batch_size": (int, 8),
     "seed": (int, 0),
     "w_ord": (float, 1.0),
@@ -104,14 +92,12 @@ _SCHEMA: dict[str, tuple] = {
     "w_grad": (float, 1.0),
     "num_scenes": (int, 256),
     "holdout": (int, 32),
-    "min_objects": (int, 2),
-    "max_objects": (int, 5),
-    "noise": (float, 0.02),
     "crop_h": (int, 0),  # 0 means the full image height
     "crop_w": (int, 0),
-    "augment": (_parse_bool, True),
     "plane_depth": (float, 3.0),
 }
+
+LR_POWER = 0.9  # power of the polynomial learning-rate decay, as in DORN
 
 
 @dataclass(frozen=True)
@@ -145,15 +131,7 @@ class RunConfig:
         )
 
     def scene_spec(self) -> SceneSpec:
-        return SceneSpec(
-            seed=self.seed,
-            height=self.image_h,
-            width=self.image_w,
-            depth_range=self.depth_range(),
-            min_objects=self.min_objects,
-            max_objects=self.max_objects,
-            noise=self.noise,
-        )
+        return SceneSpec(self.seed, self.image_h, self.image_w, self.depth_range())
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.w_ord, self.w_log, self.w_grad)
@@ -204,6 +182,11 @@ def load_config(
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key, value in cfg.values:
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    if cfg.lr <= 0:
+        raise ConfigError(f"lr must be > 0, got {cfg.lr!r}")
     try:
         cfg.depth_range()
         cfg.network_config()
@@ -224,8 +207,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("holdout must lie in [0, num_scenes]")
     if not cfg.alpha < cfg.plane_depth < cfg.beta:
         raise ConfigError("plane_depth must lie strictly inside (alpha, beta)")
-    if not 0 <= cfg.beta1 < 1 or not 0 <= cfg.beta2 < 1:
-        raise ConfigError("adam betas must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +241,8 @@ def _stack_batch(samples):
 
 def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> Path:
     """Adam with polynomial decay over the train split of the manifest,
-    training the whole graph end to end on the weighted loss terms.
+    training the whole graph end to end on the weighted loss terms. Every
+    batch is augmented (random crop and photometric jitter).
 
     `--set w_log=0 --set w_grad=0` gives ordinal-only (DORN-style)
     training: the fusion and refinement parameters then get zero gradients
@@ -281,10 +263,9 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
     log_path = Path(log_path) if log_path else Path(str(out_checkpoint) + ".log.jsonl")
     with open(log_path, "w", newline="\n") as log:
         for it in range(cfg.max_iter):
-            lr_it = poly_lr(cfg.lr, it, cfg.max_iter, cfg.lr_power)
-            batch = [samples[(it * cfg.batch_size + j) % n] for j in range(cfg.batch_size)]
-            if cfg.augment:
-                batch = [augment(s, rng_aug, crop_h, crop_w) for s in batch]
+            lr_it = poly_lr(cfg.lr, it, cfg.max_iter, LR_POWER)
+            batch = [augment(samples[(it * cfg.batch_size + j) % n], rng_aug, crop_h, crop_w)
+                     for j in range(cfg.batch_size)]
             image, depth_gt = _stack_batch(batch)
             target = encode_rank(depth_to_label(depth_gt, th), cfg.k)
 
@@ -299,7 +280,7 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
                 )
             params.zero_grads()
             backward(loss)
-            adam_step(params, lr_it, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(params, lr_it)
             record = {"iter": it, "lr": lr_it, "loss": loss_val, **parts}
             log.write(json.dumps(record) + "\n")
     save_checkpoint(params, out_checkpoint)
@@ -324,7 +305,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     params = _load_model(cfg, checkpoint)
 
     lines = []
-    sums: dict[str, dict] = {}
+    sums: dict[str, dict] = {}  # kind -> pixel-weighted sums of each field, rms squared
     for img_path, dep_path in pairs:
         sample = read_sample(img_path, dep_path)
         image, depth_gt = _stack_batch([sample])
@@ -339,25 +320,18 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         for kind, d in decoded.items():
             rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
             lines.append({"image": Path(img_path).name, "output": kind, **rep})
-            agg = sums.setdefault(kind, {"n": 0, "rel": 0.0, "log10": 0.0, "mse": 0.0,
-                                         "delta1": 0.0, "delta2": 0.0, "delta3": 0.0,
-                                         "dde": 0.0})
             n = rep["pixel_count"]
-            agg["n"] += n
-            agg["mse"] += rep["rms"] ** 2 * n
-            for key in ("rel", "log10", "delta1", "delta2", "delta3", "dde"):
-                agg[key] += rep[key] * n
+            agg = sums.setdefault(kind, dict.fromkeys(rep, 0))
+            for key, value in rep.items():
+                if key == "rms":
+                    value = value**2  # pooled as the root of the mean square
+                agg[key] += n if key == "pixel_count" else value * n
 
     aggregates = {}
-    for kind in ("coarse", "refined", "hard"):
-        agg = sums[kind]
-        n = agg["n"]
-        rec = {"output": kind, "aggregate": True,
-               "rel": agg["rel"] / n, "log10": agg["log10"] / n,
-               "rms": float(np.sqrt(agg["mse"] / n)),
-               "delta1": agg["delta1"] / n, "delta2": agg["delta2"] / n,
-               "delta3": agg["delta3"] / n, "dde": agg["dde"] / n,
-               "pixel_count": n}
+    for kind, agg in sums.items():
+        n = agg["pixel_count"]
+        rec = {"output": kind, "aggregate": True, **{key: total / n for key, total in agg.items()},
+               "rms": float(np.sqrt(agg["rms"] / n)), "pixel_count": n}
         lines.append(rec)
         aggregates[kind] = rec
 
@@ -401,17 +375,16 @@ def cmd_render(cfg: RunConfig, depth_path, out_path) -> Path:
     return Path(out_path)
 
 
-def cmd_grad_check(cfg: RunConfig, corrupt_op: str | None = None, stream=None) -> bool:
+def cmd_grad_check(cfg: RunConfig, corrupt_op: str | None = None) -> bool:
     """Run the finite-difference suite; prints one line per component and
     returns True only if every component passed."""
-    stream = stream or sys.stdout
     results = gradcheck_mod.run_full_suite(seed=cfg.seed, corrupt_op=corrupt_op)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        stream.write(f"{status} {r.name}: max relative error {r.max_rel_err:.3e} "
-                     f"(tolerance {r.tolerance:.0e})\n")
+        print(f"{status} {r.name}: max relative error {r.max_rel_err:.3e} "
+              f"(tolerance {r.tolerance:.0e})")
     ok = all(r.passed for r in results)
-    stream.write(f"grad-check: {'all checks passed' if ok else 'FAILURES detected'}\n")
+    print(f"grad-check: {'all checks passed' if ok else 'FAILURES detected'}")
     return ok
 
 

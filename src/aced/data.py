@@ -65,18 +65,15 @@ class SceneSpec:
     height: int
     width: int
     depth_range: DepthRange
-    min_objects: int = 2
-    max_objects: int = 5
-    noise: float = 0.02
 
     def __post_init__(self):
         if self.height % 16 != 0 or self.width % 16 != 0:
             raise ValueError(f"scene size ({self.height}x{self.width}) must be multiples of 16")
-        if self.min_objects < 0 or self.max_objects < self.min_objects:
-            raise ValueError("need 0 <= min_objects <= max_objects")
 
 
 _SHAPES = ("rect", "ellipse")
+_MIN_OBJECTS, _MAX_OBJECTS = 2, 5  # objects per scene, both inclusive
+_NOISE = 0.02  # half-width of the uniform pixel noise
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
     albedo = np.broadcast_to(bg_albedo.reshape(3, 1, 1), (3, h, w)).copy()
 
     objects = []
-    for _ in range(rng.randint(spec.min_objects, spec.max_objects)):
+    for _ in range(rng.randint(_MIN_OBJECTS, _MAX_OBJECTS)):
         kind = _SHAPES[rng.randint(0, len(_SHAPES) - 1)]
         cy = rng.uniform(0, h - 1)
         cx = rng.uniform(0, w - 1)
@@ -146,7 +143,7 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
     render_objects(depth, albedo, objects)
 
     shade = alpha / depth  # in (alpha/beta, 1]
-    noise = rng.fill_uniform((3, h, w), -spec.noise, spec.noise)
+    noise = rng.fill_uniform((3, h, w), -_NOISE, _NOISE)
     image = np.clip(albedo * shade + noise, 0.0, 1.0)
     return SceneSample(image=image, depth=depth)
 

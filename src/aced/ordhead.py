@@ -118,7 +118,8 @@ def confidence(tape: Tape | None, probs: Tensor, p: Tensor) -> Tensor:
     if p.shape != (b, 1, h, w):
         raise ShapeMismatchError(f"confidence: p shape {p.shape} != ({b},1,{h},{w})")
     km1 = float(c)
-    m = np.clip(np.floor(p.data), 0, c - 1).astype(np.int64)  # bin holding p
+    # bin holding p; fmax/fmin put a NaN p in bin 0, so C comes out NaN
+    m = np.fmin(np.fmax(np.floor(p.data), 0), c - 1).astype(np.int64)
     r = p.data - m
     pm = np.take_along_axis(probs.data, m, axis=1)
     prefix = np.cumsum(probs.data, axis=1)

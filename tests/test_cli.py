@@ -1,17 +1,22 @@
 """The command line end to end at the small test config: the gen-data,
 train, eval, infer and render chain; train logs the terms its loss summed;
 ordinal-only training leaves the fusion and refinement untouched; eval
-prints one aggregate per output; exit code 1 for a usage error and 2 for a
-failed gradient check; eval's hard decode is that of the upsampled head."""
+prints one aggregate per output, pooled from its per-image lines; exit
+code 1 for a usage error or a bad config value, and 2 for a failed gradient
+check or diverged training; eval's hard decode is that of the upsampled
+head."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aced import cli, network
-from aced.data import read_manifest, read_pgm16, read_ppm
+from aced.data import read_manifest, read_pgm16, read_ppm, write_ppm
 from aced.gradcore import Rng, Tensor, derive_seed, load_checkpoint, save_checkpoint, upsample_nearest
 from aced.ordhead import pair_softmax
 from aced.sid import hard_decode
@@ -88,6 +93,27 @@ def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):
     assert all(rec["aggregate"] for rec in lines)
 
 
+def test_eval_aggregates_pool_the_per_image_lines(tiny_dataset, tmp_path):
+    cfg, manifest = tiny_dataset
+    ckpt, _ = _train(cfg, manifest, tmp_path)
+    out = tmp_path / "metrics.jsonl"
+    cli.cmd_eval(cfg, ckpt, manifest, out_path=out)
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    per_image, aggregates = lines[:-3], lines[-3:]
+    fields = ["rel", "log10", "rms", "delta1", "delta2", "delta3", "dde", "pixel_count"]
+    for agg in aggregates:
+        assert list(agg) == ["output", "aggregate", *fields]
+        mine = [rec for rec in per_image if rec["output"] == agg["output"]]
+        assert len(mine) == cfg.holdout
+        n = np.array([rec["pixel_count"] for rec in mine])
+        assert agg["pixel_count"] == n.sum() and isinstance(agg["pixel_count"], int)
+        for key in ("rel", "log10", "delta1", "delta2", "delta3", "dde"):
+            want = np.dot([rec[key] for rec in mine], n) / n.sum()
+            assert agg[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+        pooled = np.sqrt(np.dot([rec["rms"] ** 2 for rec in mine], n) / n.sum())
+        assert agg["rms"] == pytest.approx(pooled, rel=1e-12)
+
+
 def test_eval_hard_decode_is_the_hard_decode_of_the_upsampled_head(tiny_dataset, tmp_path,
                                                                     monkeypatch):
     cfg, manifest = tiny_dataset
@@ -115,7 +141,8 @@ def test_eval_hard_decode_is_the_hard_decode_of_the_upsampled_head(tiny_dataset,
 def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     _, manifest = tiny_dataset
     ckpt = tmp_path / "never.ckpt"
-    for key in ("no_such_key", "detach_confidence", "input_channels", "mode"):
+    for key in ("no_such_key", "detach_confidence", "input_channels", "mode", "beta1", "beta2",
+                "eps", "lr_power", "augment", "min_objects", "max_objects", "noise"):
         code = cli.main(["train", *_sets([f"{key}=true"]), str(manifest), str(ckpt)])
         assert code == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -123,6 +150,53 @@ def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     code = cli.main(["train", "--mode", "baseline", *_sets(), str(manifest), str(ckpt)])
     assert code == 1
     assert "--mode" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+_BAD_CONFIGS = [
+    (["image_h=24"], "height must be a positive multiple of 16, got 24"),
+    (["crop_h=48"], "crop (48x16) exceeds image (16x16)"),
+    (["batch_size=0"], "batch_size must be >= 1"),
+    (["max_iter=-1"], "max_iter must be >= 0"),
+    (["num_scenes=-1"], "num_scenes must be >= 0"),
+    (["plane_depth=9"], "plane_depth must lie strictly inside (alpha, beta)"),
+    (["alpha=9"], "need 0 < alpha < beta"),
+    (["k=1"], "k_levels must be >= 2"),
+    (["w_ord=0", "w_log=0", "w_grad=0"], "at least one loss weight must be positive"),
+    (["lr=0"], "lr must be > 0"),
+    (["lr=-0.01"], "lr must be > 0"),
+    (["lr=nan"], "lr must be finite"),
+    (["lr=inf"], "lr must be finite"),
+    (["w_log=nan"], "w_log must be finite"),
+    (["w_grad=inf"], "w_grad must be finite"),
+    (["beta=-inf"], "beta must be finite"),
+]
+
+
+@pytest.mark.parametrize("extra, problem", _BAD_CONFIGS,
+                         ids=[",".join(extra) for extra, _ in _BAD_CONFIGS])
+def test_invalid_config_is_a_usage_error(tiny_dataset, tmp_path, capsys, extra, problem):
+    _, manifest = tiny_dataset
+    ckpt = tmp_path / "never.ckpt"
+    assert cli.main(["train", *_sets(extra), str(manifest), str(ckpt)]) == 1
+    assert problem in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_diverged_training_exits_2(tiny_dataset, tmp_path):
+    # A child process: the divergence's overflow warnings would be errors
+    # under this suite's warning filter.
+    cfg, manifest = tiny_dataset
+    ckpt = tmp_path / "never.ckpt"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "aced.cli", "train", "--seed", str(cfg.seed),
+                           *_sets(["lr=1e200"]), str(manifest), str(ckpt)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "training diverged: loss nan at iteration 1" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not ckpt.exists()
 
 
@@ -205,6 +279,17 @@ def test_gen_data_train_eval_infer_render_chain(tiny_dataset, tmp_path, capsys):
     rendered = tmp_path / "render.ppm"
     assert _printed_paths(run("render", str(depth_path), str(rendered))) == [rendered]
     assert rendered.read_bytes() == vis_path.read_bytes()
+
+
+def test_infer_rejects_a_size_that_is_not_a_multiple_of_16(tiny_dataset, tmp_path, capsys):
+    cfg, _ = tiny_dataset
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(network.init_params(cfg.network_config(), Rng(0)), ckpt)
+    image = tmp_path / "odd.ppm"
+    write_ppm(image, np.full((3, 24, 24), 0.5))
+    assert cli.main(["infer", *_sets(), str(ckpt), str(image), str(tmp_path / "out")]) == 1
+    assert f"{image}: dimensions (24x24) must be multiples of 16" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [ckpt, image]
 
 
 def test_infer_visualization_is_the_render_of_its_depth(tiny_dataset, tmp_path):

@@ -288,6 +288,15 @@ class TestConfidence:
             vec = rng.fill_uniform((k - 1,), 0.05, 0.95)
             assert self._conf(vec) < 1.0 - 1e-9
 
+    def test_nan_label_gives_nan_confidence(self):
+        # A diverged network yields NaN labels; the confidence must carry the
+        # NaN to the loss check rather than index with a garbage bin.
+        probs = gc.Tensor(np.full((1, 3, 1, 2), 0.5))
+        p = gc.Tensor(np.array([[[[np.nan, 1.5]]]]))
+        got = confidence(None, probs, p).data
+        assert np.isnan(got[0, 0, 0, 0])
+        assert got[0, 0, 0, 1] == self._conf([0.5, 0.5, 0.5])
+
     def test_gradient_vs_finite_differences(self):
         rng = gc.Rng(41)
         z = gc.Tensor(rng.fill_uniform((1, 8, 3, 3), -2, 2), requires_grad=True)
