@@ -454,11 +454,14 @@ def conv2d(
                     dw[:, :, i, j] = gf @ xf[:, off:off + n].T
                 _accum(weight, dw)
             if x.needs_grad:
+                # With one output channel each tap's product has K=1: a
+                # broadcast multiply gives the GEMM's bits without its overhead.
+                dot = np.multiply if oc == 1 else np.matmul
                 dxf = np.empty((c, n + span))
-                np.matmul(wd[:, :, 0, 0].T, gf, out=dxf[:, :n])
+                dot(wd[:, :, 0, 0].T, gf, out=dxf[:, :n])
                 dxf[:, n:] = 0.0
                 for i, j, off in taps[1:]:
-                    dxf[:, off:off + n] += wd[:, :, i, j].T @ gf
+                    dxf[:, off:off + n] += dot(wd[:, :, i, j].T, gf)
                 dx = dxf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w]
                 _accum(x, dx.transpose(1, 0, 2, 3))
         tape.record("conv2d", (x, weight, bias), out, bwd)
