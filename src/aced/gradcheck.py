@@ -147,9 +147,11 @@ def _probed(op, shapes, lo=-1.0, hi=1.0):
     return factory
 
 
-def _conv(stride, padding, kernel):
-    return _probed(lambda tape, x, w, b: gc.conv2d(tape, x, w, b, stride, padding),
-                   [(2, 3, 8, 8), (4, 3, kernel, kernel), (1, 4, 1, 1)])
+def _conv(stride, padding, kernel, upsample=1):
+    """Conv check on an 8x8 input, or a 4x4 one that upsample=2 brings to 8x8."""
+    hw = 8 // upsample
+    return _probed(lambda tape, x, w, b: gc.conv2d(tape, x, w, b, stride, padding, upsample),
+                   [(2, 3, hw, hw), (4, 3, kernel, kernel), (1, 4, 1, 1)])
 
 
 def _confidence_of_logits(tape, z):
@@ -208,6 +210,7 @@ _COMPONENTS = [
     ("conv2d_stride1", _conv(1, 1, 3), PRIMITIVE_TOL),
     ("conv2d_stride2", _conv(2, 1, 3), PRIMITIVE_TOL),
     ("conv2d_1x1", _conv(1, 0, 1), PRIMITIVE_TOL),
+    ("conv2d_upsample2", _conv(1, 1, 3, upsample=2), PRIMITIVE_TOL),
     ("upsample_nearest",
      _probed(lambda tape, x: gc.upsample_nearest(tape, x, 2), [(1, 2, 3, 3)]), PRIMITIVE_TOL),
     ("add", _probed(gc.add, [(2, 2, 4, 4)] * 2), PRIMITIVE_TOL),

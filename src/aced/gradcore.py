@@ -10,7 +10,8 @@ cycle collector. The operation set is exactly what a small convolutional
 ordinal-regression network needs, all in float64 so analytic gradients can
 be checked against central finite differences. conv2d is one GEMM per
 kernel tap on a flat padded input, no column matrix, with the GEMM width
-rounded up to a multiple of 16 so results do not depend on BLAS threads.
+rounded up to a multiple of 16 so results do not depend on BLAS threads; a
+3x3 conv of a x2 nearest upsample runs as four 2x2 phase convs of the input.
 """
 
 from __future__ import annotations
@@ -382,6 +383,16 @@ def upsample_nearest(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     return out
 
 
+# A 3-tap kernel on a x2 nearest upsample, per output phase a (row or column
+# parity): _UP2_FOLD[a, d, i] = 1 when tap i reads the same source pixel as
+# tap d of the phase's 2-tap kernel. _UP2_TAPS is the 2-D fold as a (16, 9)
+# matrix, rows (a, e, d, f) and columns (i, j), so the 16 folded taps of a
+# 3x3 kernel are one small GEMM.
+_UP2_FOLD = np.array([[[1, 0, 0], [0, 1, 1]],
+                      [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_UP2_TAPS = np.einsum("adi,efj->aedfij", _UP2_FOLD, _UP2_FOLD).reshape(16, 9)
+
+
 def conv2d(
     tape: Tape | None,
     x: Tensor,
@@ -389,8 +400,10 @@ def conv2d(
     bias: Tensor,
     stride: int = 1,
     padding: int = 0,
+    upsample: int = 1,
 ) -> Tensor:
-    """Cross-correlation with per-output-channel bias.
+    """Cross-correlation with per-output-channel bias, optionally of x's x2
+    nearest upsample.
 
     Output size per axis is (in + 2*padding - k)//stride + 1; rows/columns
     that do not fit a full window are dropped.
@@ -407,6 +420,14 @@ def conv2d(
     n is the grid size rounded up to a multiple of 16 over a zero tail of xf:
     OpenBLAS computes the last (n mod 8) columns of a GEMM differently at
     different thread counts, so this keeps results thread-independent.
+
+    upsample=2 (3x3 kernel, padding 1, stride 1 only) gives the (b, oc, 2h, 2w)
+    conv2d(upsample_nearest(x, 2), W, b, 1, 1) without forming the upsample,
+    at 4/9 of the MACs: output phase (a, e), out[:, :, a::2, e::2], is a 2x2
+    convolution of x whose tap (d, f) is W's taps on the same source pixel
+    summed, read at view offset (a+d)*Wp + e+f (resize-convolution as
+    sub-pixel convolution; Shi et al., CVPR 2016). The 16 phase-tap dW unfold
+    back onto the 3x3 taps, and dx lands at x's resolution.
     """
     b, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
@@ -418,50 +439,78 @@ def conv2d(
         )
     if stride not in (1, 2):
         raise ShapeMismatchError(f"conv2d: stride must be 1 or 2, got {stride}")
-    p, s = int(padding), int(stride)
+    if upsample not in (1, 2):
+        raise ShapeMismatchError(f"conv2d: upsample must be 1 or 2, got {upsample}")
+    if upsample == 2 and (kh, kw, padding, stride) != (3, 3, 1, 1):
+        raise ShapeMismatchError(
+            f"conv2d: upsample=2 needs a 3x3 kernel, padding 1 and stride 1, got "
+            f"{kh}x{kw}, padding {padding}, stride {stride}"
+        )
+    p, s, u = int(padding), int(stride), int(upsample)
     hp, wp = h + 2 * p, w + 2 * p
-    oh = (hp - kh) // s + 1
-    ow = (wp - kw) // s + 1
-    if oh < 1 or ow < 1:
+    # gh x gw outputs per phase; u x u phases interleave into the output.
+    gh = (hp - kh) // s + 1
+    gw = (wp - kw) // s + 1
+    if gh < 1 or gw < 1:
         raise ShapeMismatchError(
             f"conv2d: kernel ({kh}x{kw}) too large for padded input ({hp}x{wp})"
         )
     grid = b * hp * wp
     n = -(-grid // 16) * 16
     span = (kh - 1) * wp + (kw - 1)
-    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    wd = weight.data
+    # Each phase is the index of the output pixels it writes and its taps,
+    # each tap an (oc, c) weight matrix and the offset of its view.
+    if u == 1:
+        phases = [(..., [(wd[:, :, i, j], i * wp + j) for i in range(kh) for j in range(kw)])]
+    else:
+        wt = (_UP2_TAPS @ wd.reshape(oc * c, 9).T).reshape(2, 2, 2, 2, oc, c)
+        phases = [(np.s_[:, :, a::2, e::2],
+                   [(wt[a, e, d, f], (a + d) * wp + e + f) for d in (0, 1) for f in (0, 1)])
+                  for a in (0, 1) for e in (0, 1)]
+
     xf = np.zeros((c, n + span))
     xf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
-    wd = weight.data
     y = np.empty((oc, n))
-    np.matmul(wd[:, :, 0, 0], xf[:, :n], out=y)
-    for i, j, off in taps[1:]:
-        y += wd[:, :, i, j] @ xf[:, off:off + n]
-    kept = y[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * oh:s, :s * ow:s]
-    # Add into a C-ordered buffer; a plain `+` would keep y's (oc, b) order.
-    out_data = np.empty((b, oc, oh, ow))
-    np.add(kept.transpose(1, 0, 2, 3), bias.data, out=out_data)
+    out_data = np.empty((b, oc, u * gh, u * gw))
+    for pix, taps in phases:
+        w0, off0 = taps[0]
+        np.matmul(w0, xf[:, off0:off0 + n], out=y)
+        for wk, off in taps[1:]:
+            y += wk @ xf[:, off:off + n]
+        # Add into the output; a plain `+` would keep y's (oc, b) order.
+        kept = y[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s]
+        np.add(kept.transpose(1, 0, 2, 3), bias.data, out=out_data[pix])
     out = Tensor(out_data)
     if _want(tape, x, weight, bias):
         def bwd(g):
             if bias.needs_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
+            want_w, want_x = weight.needs_grad, x.needs_grad
             gf = np.zeros((oc, n))
-            gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * oh:s, :s * ow:s] = g.transpose(1, 0, 2, 3)
-            if weight.needs_grad:
-                dw = np.empty((oc, c, kh, kw))
-                for i, j, off in taps:
-                    dw[:, :, i, j] = gf @ xf[:, off:off + n].T
-                _accum(weight, dw)
-            if x.needs_grad:
-                # With one output channel each tap's product has K=1: a
-                # broadcast multiply gives the GEMM's bits without its overhead.
-                dot = np.multiply if oc == 1 else np.matmul
+            if want_w:
+                dwt = np.empty((len(phases), len(phases[0][1]), oc, c))
+            if want_x:
                 dxf = np.empty((c, n + span))
-                dot(wd[:, :, 0, 0].T, gf, out=dxf[:, :n])
                 dxf[:, n:] = 0.0
-                for i, j, off in taps[1:]:
-                    dxf[:, off:off + n] += dot(wd[:, :, i, j].T, gf)
+            # With one output channel each dx tap's product has K=1: a
+            # broadcast multiply gives the GEMM's bits without its overhead.
+            dot = np.multiply if oc == 1 else np.matmul
+            for k, (pix, taps) in enumerate(phases):
+                gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
+                for t, (wk, off) in enumerate(taps):
+                    if want_w:
+                        dwt[k, t] = gf @ xf[:, off:off + n].T
+                    if want_x and off == 0:  # the first tap writes dxf, the rest add
+                        dot(wk.T, gf, out=dxf[:, :n])
+                    elif want_x:
+                        dxf[:, off:off + n] += dot(wk.T, gf)
+            if want_w:
+                if u == 1:
+                    _accum(weight, dwt.reshape(kh, kw, oc, c).transpose(2, 3, 0, 1))
+                else:
+                    _accum(weight, (dwt.reshape(16, oc * c).T @ _UP2_TAPS).reshape(oc, c, 3, 3))
+            if want_x:
                 dx = dxf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w]
                 _accum(x, dx.transpose(1, 0, 2, 3))
         tape.record("conv2d", (x, weight, bias), out, bwd)

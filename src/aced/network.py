@@ -2,14 +2,17 @@
 decoder producing rank logits at half resolution, the ordinal head (paired
 classifiers, expected-label decode, confidence) run at that resolution,
 multiscale feature fusion (a residual block and a 1x1 merge per scale at its
-native resolution, summed top-down), and an additive-residual refinement
-head driven by coarse depth, confidence and fused features at full
-resolution.
+native resolution, summed top-down to half resolution), and an
+additive-residual refinement head driven by coarse depth, confidence and
+fused features, which emits the full-resolution depth.
 
 Nearest upsampling commutes with every per-pixel map and every 1x1
 convolution, so both run before the upsample, as in the top-down pathway of
 a feature pyramid network (Lin et al., CVPR 2017): the same values as
-upsampling first, at a fraction of the work.
+upsampling first, at a fraction of the work. A 3x3 convolution of a x2
+nearest upsample splits into four output phases, each a 2x2 convolution of
+the un-upsampled input (Shi et al., CVPR 2016), so refine's first conv reads
+the half-resolution maps through `conv2d(..., upsample=2)`.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ def init_params(config: NetworkConfig, rng: Rng) -> ParamStore:
     return params
 
 
-def _conv(tape, x, params, name, stride=1, padding=1):
-    return conv2d(tape, x, params[f"{name}.w"], params[f"{name}.b"], stride, padding)
+def _conv(tape, x, params, name, stride=1, padding=1, upsample=1):
+    return conv2d(tape, x, params[f"{name}.w"], params[f"{name}.b"], stride, padding, upsample)
 
 
 def encode(tape: Tape | None, image: Tensor, params: ParamStore) -> EncoderFeatures:
@@ -174,10 +177,11 @@ def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStor
     block h_i (identity when the branch weights are zero) and merged there by
     its slice of the 1x1 `fuse_merge` conv, m_i = conv1x1(h_i, W[:, lo_i:hi_i]),
     the bias on the 1/16 branch only. From the coarsest scale down,
-    m = up2(m) + m_i; a last up2 brings m to full resolution.
+    m = up2(m) + m_i, which ends at the 1/2 scale; `refine` reads m there.
 
-    This is the 1x1 merge of the concatenated, upsampled h_i up to the order
-    of the sums, at 4**i times fewer MACs per branch."""
+    This is the 1x1 merge of the concatenated h_i, each upsampled to half
+    resolution, up to the order of the sums, at 4**(i-1) times fewer MACs per
+    branch."""
     w = params["fuse_merge.w"]
     bias = params["fuse_merge.b"]
     no_bias = Tensor(np.zeros(bias.shape))
@@ -192,23 +196,28 @@ def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStor
                    bias if merged is None else no_bias, 1, 0)
         merged = m if merged is None else add(tape, upsample_nearest(tape, merged, 2), m)
         hi = lo
-    return upsample_nearest(tape, merged, 2)
+    return merged
 
 
-def refine(tape: Tape | None, coarse: Tensor, conf: Tensor, fused: Tensor, params: ParamStore) -> Tensor:
-    """Additive residual on the coarse depth: zero refinement weights
-    reproduce the coarse map exactly."""
-    x = concat_channels(tape, [coarse, conf, fused])
-    x = relu(tape, _conv(tape, x, params, "refine.conv1"))
+def refine(tape: Tape | None, coarse: Tensor, coarse_half: Tensor, conf_half: Tensor,
+           fused: Tensor, params: ParamStore) -> Tensor:
+    """Additive residual on the full-resolution coarse depth: zero refinement
+    weights reproduce it exactly. The residual is conv2(relu(conv1(up2(x))))
+    with x the half-resolution coarse depth, confidence and fused features
+    concatenated; conv1 runs as four 2x2 phase convs on x itself, and conv2
+    at full resolution."""
+    x = concat_channels(tape, [coarse_half, conf_half, fused])
+    x = relu(tape, _conv(tape, x, params, "refine.conv1", upsample=2))
     residual = _conv(tape, x, params, "refine.conv2")
     return add(tape, coarse, residual)
 
 
 def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresholds) -> ForwardResult:
     """One pass: encode, decode to rank logits, then at their half resolution
-    the probabilities, the soft-decoded coarse depth and the confidence;
-    upsample coarse depth and confidence to full resolution, fuse multiscale
-    features, refine.
+    the probabilities, the soft-decoded coarse depth and the confidence; fuse
+    multiscale features to half resolution too, and refine from those three
+    to full resolution. Coarse depth and confidence are upsampled once each
+    for the result (the coarse depth is also what refine adds to).
 
     Every shape follows from `image` and the parameter shapes in `params`
     (see `init_params`); `th` are the SID thresholds that map the expected
@@ -217,8 +226,10 @@ def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresho
     logits = decode_to_logits(tape, feats, params)
     probs = pair_softmax(tape, logits)
     p = expected_label(tape, probs)
-    coarse = upsample_nearest(tape, label_to_depth_op(tape, p, th), 2)
-    conf = upsample_nearest(tape, confidence(tape, probs, p), 2)
+    coarse_half = label_to_depth_op(tape, p, th)
+    conf_half = confidence(tape, probs, p)
+    coarse = upsample_nearest(tape, coarse_half, 2)
+    conf = upsample_nearest(tape, conf_half, 2)
     fused = fuse_multiscale(tape, feats, params)
-    refined = refine(tape, coarse, conf, fused, params)
+    refined = refine(tape, coarse, coarse_half, conf_half, fused, params)
     return ForwardResult(coarse, conf, refined, probs, logits)

@@ -190,6 +190,47 @@ class TestConv2dReference:
         for got, ref in zip((x.grad, wt.grad, b.grad), naive_backward(g)):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_upsample_two_is_the_conv_of_the_upsampled_input(self, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        n, c, oc, h, w = draw(1, 3), draw(1, 4), draw(1, 4), draw(1, 9), draw(1, 9)
+        rng = gc.Rng(gc.derive_seed(draw(0, 2**32), "drawn-upsample"))
+        x = t4(rng.fill_uniform((n, c, h, w), -1, 1), requires_grad=True)
+        wt = t4(rng.fill_uniform((oc, c, 3, 3), -1, 1), requires_grad=True)
+        b = t4(rng.fill_uniform((1, oc, 1, 1), -1, 1), requires_grad=True)
+        tape = gc.Tape()
+        out = gc.conv2d(tape, x, wt, b, stride=1, padding=1, upsample=2)
+        # Reference 1: the upsample and the stride-1 conv as two tape ops.
+        ref = [t4(t.data, requires_grad=True) for t in (x, wt, b)]
+        ref_tape = gc.Tape()
+        composed = gc.conv2d(ref_tape, gc.upsample_nearest(ref_tape, ref[0], 2), ref[1], ref[2], 1, 1)
+        # Reference 2: nested loops on the upsampled input; dx is the block sum.
+        up = x.data.repeat(2, axis=2).repeat(2, axis=3)
+        want, naive_backward = naive_conv2d(up, wt.data, b.data, 1, 1)
+        assert out.shape == composed.shape == want.shape == (n, oc, 2 * h, 2 * w)
+        np.testing.assert_allclose(out.data, composed.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        g = rng.fill_uniform(out.shape, -1, 1)
+        gc.backward(sum_all(tape, out, g))
+        gc.backward(sum_all(ref_tape, composed, g))
+        dx_up, dw, db = naive_backward(g)
+        dx = dx_up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        for got, composed_grad, loop_grad in zip((x.grad, wt.grad, b.grad),
+                                                 (t.grad for t in ref), (dx, dw, db)):
+            np.testing.assert_allclose(got, composed_grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, loop_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("upsample, k, stride, padding", [
+        (3, 3, 1, 1), (2, 3, 2, 1), (2, 1, 1, 1), (2, 3, 1, 0)],
+        ids=["upsample3", "stride2", "kernel1x1", "padding0"])
+    def test_upsample_rejects_other_shapes(self, upsample, k, stride, padding):
+        x = t4(np.zeros((1, 2, 4, 4)))
+        w = t4(np.zeros((3, 2, k, k)))
+        b = t4(np.zeros((1, 3, 1, 1)))
+        with pytest.raises(gc.ShapeMismatchError, match="upsample"):
+            gc.conv2d(None, x, w, b, stride=stride, padding=padding, upsample=upsample)
+
     def test_stride_two_drops_last_row(self):
         # 8 rows, k=3, no padding, stride 2: windows start at rows 0, 2, 4;
         # row 7 is read by none, so its gradient is exactly zero.
@@ -207,10 +248,12 @@ class TestConv2dReference:
 # Runs every conv of the network (inputs drawn per conv, weights from the
 # initialised store, a slice of fuse_merge.w named fuse_merge[lo:hi]) forward
 # and backward, and prints one sha256 per conv over the output and the three
-# gradients. It does so for the default config at its training batch and at
-# batch 1 (as `eval` runs), for the config given by the arguments at its
-# training batch, and for one 1x1 conv whose grid of 46*201 = 9246 columns
-# (not a multiple of 8) is all kept outputs.
+# gradients, with its upsample factor. It does so for the default config at
+# its training batch and at batch 1 (as `eval` runs), for the config given by
+# the arguments at its training batch, and for one 1x1 conv whose grid of
+# 46*201 = 9246 columns (not a multiple of 8) is all kept outputs. The
+# upsample=2 conv, refine.conv1, runs on a grid of 8*18*18 = 2592 columns at
+# the training batch and of 324 (rounded up to 336) at batch 1.
 _CONV_HASH_SCRIPT = """
 import hashlib
 import sys
@@ -228,9 +271,9 @@ def conv_calls(sets, batch):
     names = {id(t): n[:-2] for n, t in params.items()}
     calls = []
 
-    def spy(tape, x, w, b, stride=1, padding=0):
-        calls.append((names[id(w)], x.shape, w, b, stride, padding))
-        return real(tape, x, w, b, stride, padding)
+    def spy(tape, x, w, b, stride=1, padding=0, upsample=1):
+        calls.append((names[id(w)], x.shape, w, b, stride, padding, upsample))
+        return real(tape, x, w, b, stride, padding, upsample)
 
     def slice_spy(tape, x, lo, hi):
         out = real_slice(tape, x, lo, hi)
@@ -243,18 +286,18 @@ def conv_calls(sets, batch):
     network.conv2d, network.slice_channels = real, real_slice
     return calls
 
-def print_hash(label, name, shape, w, b, stride, padding):
+def print_hash(label, name, shape, w, b, stride, padding, upsample=1):
     rng = gc.Rng(gc.derive_seed(2, name))
     x = gc.Tensor(rng.fill_uniform(shape, -1, 1), requires_grad=True)
     w, b = (gc.Tensor(t.data, requires_grad=True) for t in (w, b))
     tape = gc.Tape()
-    out = real(tape, x, w, b, stride, padding)
+    out = real(tape, x, w, b, stride, padding, upsample)
     probe = rng.fill_uniform(out.shape, -1, 1)
     gc.backward(project(tape, out, probe))
     h = hashlib.sha256()
     for a in (out.data, x.grad, w.grad, b.grad):
         h.update(np.ascontiguousarray(a).tobytes())
-    print(label, name, h.hexdigest())
+    print(label, name, f"x{upsample}", h.hexdigest())
 
 for label, sets, batch in (("train", [], None), ("eval", [], 1), ("args", sys.argv[1:], None)):
     for call in conv_calls(sets, batch):
@@ -280,7 +323,10 @@ def _conv_hashes(threads: int) -> str:
 
 def test_conv_results_do_not_depend_on_blas_threads():
     one, two = _conv_hashes(1), _conv_hashes(2)
-    assert len(one.splitlines()) == 3 * 26 + 1  # every conv of the network, per config
+    lines = one.splitlines()
+    assert len(lines) == 3 * 26 + 1  # every conv of the network, per config
+    assert [line.split()[:3] for line in lines if "x2" in line] == [
+        [label, "refine.conv1", "x2"] for label in ("train", "eval", "args")]
     assert one == two
 
 
