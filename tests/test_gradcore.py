@@ -325,8 +325,8 @@ def test_conv_results_do_not_depend_on_blas_threads():
     one, two = _conv_hashes(1), _conv_hashes(2)
     lines = one.splitlines()
     assert len(lines) == 3 * 26 + 1  # every conv of the network, per config
-    assert [line.split()[:3] for line in lines if "x2" in line] == [
-        [label, "refine.conv1", "x2"] for label in ("train", "eval", "args")]
+    assert [line.split()[:2] for line in lines if line.split()[2] == "x2"] == [
+        [label, "refine.conv1"] for label in ("train", "eval", "args")]
     assert one == two
 
 
