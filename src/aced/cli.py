@@ -92,8 +92,6 @@ _SCHEMA: dict[str, tuple] = {
     "w_grad": (float, 1.0),
     "num_scenes": (int, 256),
     "holdout": (int, 32),
-    "crop_h": (int, 0),  # 0 means the full image height
-    "crop_w": (int, 0),
     "plane_depth": (float, 3.0),
 }
 
@@ -109,11 +107,6 @@ class RunConfig:
     def __post_init__(self):
         self.__dict__.update(self.values)
 
-    def resolved_crop(self) -> tuple[int, int]:
-        ch = self.crop_h or self.image_h
-        cw = self.crop_w or self.image_w
-        return ch, cw
-
     def depth_range(self) -> DepthRange:
         return DepthRange(self.alpha, self.beta)
 
@@ -121,17 +114,13 @@ class RunConfig:
         return make_thresholds(self.depth_range(), self.k)
 
     def network_config(self) -> NetworkConfig:
-        ch, cw = self.resolved_crop()
         return NetworkConfig(
             k_levels=self.k,
-            height=ch,
-            width=cw,
+            height=self.image_h,
+            width=self.image_w,
             base_width=self.base_width,
             fusion_width=self.fusion_width,
         )
-
-    def scene_spec(self) -> SceneSpec:
-        return SceneSpec(self.seed, self.image_h, self.image_w, self.depth_range())
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.w_ord, self.w_log, self.w_grad)
@@ -190,13 +179,9 @@ def _validate(cfg: RunConfig) -> None:
     try:
         cfg.depth_range()
         cfg.network_config()
-        cfg.scene_spec()
         cfg.loss_weights()
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    ch, cw = cfg.resolved_crop()
-    if ch > cfg.image_h or cw > cfg.image_w:
-        raise ConfigError(f"crop ({ch}x{cw}) exceeds image ({cfg.image_h}x{cfg.image_w})")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if cfg.max_iter < 0:
@@ -215,7 +200,8 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir) -> Path:
-    return generate_dataset(cfg.scene_spec(), cfg.num_scenes, out_dir)
+    spec = SceneSpec(cfg.seed, cfg.image_h, cfg.image_w, cfg.depth_range())
+    return generate_dataset(spec, cfg.num_scenes, out_dir)
 
 
 def _split_pairs(cfg: RunConfig, pairs, split: str):
@@ -241,8 +227,8 @@ def _stack_batch(samples):
 
 def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> Path:
     """Adam with polynomial decay over the train split of the manifest,
-    training the whole graph end to end on the weighted loss terms. Every
-    batch is augmented (random crop and photometric jitter).
+    training the whole graph end to end on the weighted loss terms at the
+    full image size. Every batch gets photometric jitter (`augment`).
 
     `--set w_log=0 --set w_grad=0` gives ordinal-only (DORN-style)
     training: the fusion and refinement parameters then get zero gradients
@@ -257,14 +243,13 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
     params = init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
     rng_aug = Rng(derive_seed(cfg.seed, "augment"))
     weights = cfg.loss_weights()
-    crop_h, crop_w = cfg.resolved_crop()
     n = len(samples)
 
     log_path = Path(log_path) if log_path else Path(str(out_checkpoint) + ".log.jsonl")
     with open(log_path, "w", newline="\n") as log:
         for it in range(cfg.max_iter):
             lr_it = poly_lr(cfg.lr, it, cfg.max_iter, LR_POWER)
-            batch = [augment(samples[(it * cfg.batch_size + j) % n], rng_aug, crop_h, crop_w)
+            batch = [augment(samples[(it * cfg.batch_size + j) % n], rng_aug)
                      for j in range(cfg.batch_size)]
             image, depth_gt = _stack_batch(batch)
             target = encode_rank(depth_to_label(depth_gt, th), cfg.k)
@@ -276,7 +261,7 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
             if not np.isfinite(loss_val):
                 raise NumericalFailure(
                     f"training diverged: loss {loss_val!r} at iteration {it} "
-                    f"(lr={lr_it})"
+                    f"(lr={lr_it}); the log up to it is in {log_path}"
                 )
             params.zero_grads()
             backward(loss)
@@ -307,6 +292,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     lines = []
     sums: dict[str, dict] = {}  # kind -> pixel-weighted sums of each field, rms squared
     for img_path, dep_path in pairs:
+        name = Path(img_path).name
         sample = read_sample(img_path, dep_path)
         image, depth_gt = _stack_batch([sample])
         out = forward(None, image, params, th)
@@ -318,8 +304,11 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         }
         del out  # its logits and probabilities would stay alive through the next forward
         for kind, d in decoded.items():
-            rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
-            lines.append({"image": Path(img_path).name, "output": kind, **rep})
+            try:
+                rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
+            except MetricsError as e:
+                raise MetricsError(f"{name}, {kind} output: {e}") from None
+            lines.append({"image": name, "output": kind, **rep})
             n = rep["pixel_count"]
             agg = sums.setdefault(kind, dict.fromkeys(rep, 0))
             for key, value in rep.items():

@@ -23,10 +23,8 @@ __all__ = [
     "TruncatedPayloadError",
     "MissingScaleError",
     "SceneSpec",
-    "SceneObject",
     "SceneSample",
     "generate_scene",
-    "render_objects",
     "augment",
     "apply_augment",
     "write_ppm",
@@ -66,25 +64,10 @@ class SceneSpec:
     width: int
     depth_range: DepthRange
 
-    def __post_init__(self):
-        if self.height % 16 != 0 or self.width % 16 != 0:
-            raise ValueError(f"scene size ({self.height}x{self.width}) must be multiples of 16")
-
 
 _SHAPES = ("rect", "ellipse")
 _MIN_OBJECTS, _MAX_OBJECTS = 2, 5  # objects per scene, both inclusive
 _NOISE = 0.02  # half-width of the uniform pixel noise
-
-
-@dataclass(frozen=True)
-class SceneObject:
-    kind: str  # "rect" or "ellipse"
-    cy: float
-    cx: float
-    ry: float
-    rx: float
-    depth: float
-    albedo: tuple[float, float, float]
 
 
 @dataclass
@@ -94,25 +77,6 @@ class SceneSample:
 
     image: np.ndarray
     depth: np.ndarray
-
-
-def render_objects(depth: np.ndarray, albedo: np.ndarray, objects) -> None:
-    """Composite constant-depth objects into (1,H,W) depth and (3,H,W) albedo
-    maps in place; at overlaps the nearest surface wins."""
-    _, h, w = depth.shape
-    ys = np.arange(h).reshape(h, 1)
-    xs = np.arange(w).reshape(1, w)
-    for obj in objects:
-        if obj.kind == "rect":
-            hit = (np.abs(ys - obj.cy) <= obj.ry) & (np.abs(xs - obj.cx) <= obj.rx)
-        elif obj.kind == "ellipse":
-            hit = ((ys - obj.cy) / obj.ry) ** 2 + ((xs - obj.cx) / obj.rx) ** 2 <= 1.0
-        else:
-            raise ValueError(f"unknown shape kind {obj.kind!r}")
-        visible = hit & (obj.depth < depth[0])
-        depth[0][visible] = obj.depth
-        for ch in range(3):
-            albedo[ch][visible] = obj.albedo[ch]
 
 
 def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
@@ -130,7 +94,10 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
                           for _ in range(3)])
     albedo = np.broadcast_to(bg_albedo.reshape(3, 1, 1), (3, h, w)).copy()
 
-    objects = []
+    # Constant-depth objects, each painted as soon as it is drawn; at
+    # overlaps the nearest surface wins.
+    ys = np.arange(h).reshape(h, 1)
+    xs = np.arange(w).reshape(1, w)
     for _ in range(rng.randint(_MIN_OBJECTS, _MAX_OBJECTS)):
         kind = _SHAPES[rng.randint(0, len(_SHAPES) - 1)]
         cy = rng.uniform(0, h - 1)
@@ -138,9 +105,14 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
         ry = rng.uniform(h / 10.0, h / 3.0)
         rx = rng.uniform(w / 10.0, w / 3.0)
         d = rng.uniform(alpha, beta)
-        alb = tuple(rng.uniform(0.45, 0.95) for _ in range(3))
-        objects.append(SceneObject(kind, cy, cx, ry, rx, d, alb))
-    render_objects(depth, albedo, objects)
+        if kind == "rect":
+            hit = (np.abs(ys - cy) <= ry) & (np.abs(xs - cx) <= rx)
+        else:
+            hit = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+        visible = hit & (d < depth[0])
+        depth[0][visible] = d
+        for ch in range(3):  # the object's albedo, the last of its draws
+            albedo[ch][visible] = rng.uniform(0.45, 0.95)
 
     shade = alpha / depth  # in (alpha/beta, 1]
     noise = rng.fill_uniform((3, h, w), -_NOISE, _NOISE)
@@ -155,46 +127,34 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
 
 def apply_augment(
     sample: SceneSample,
-    row0: int,
-    col0: int,
-    crop_h: int,
-    crop_w: int,
     brightness: float,
     contrast: float,
     color: tuple[float, float, float],
 ) -> SceneSample:
-    """Crop then photometric ops; identity parameters return the sample
+    """Photometric ops on the image; identity parameters return the sample
     values (the image to within the rounding of the contrast step, which
-    recentres on the mean). Depth is only ever cropped."""
-    _, h, w = sample.image.shape
-    if crop_h > h or crop_w > w:
-        raise ValueError(f"crop ({crop_h}x{crop_w}) larger than image ({h}x{w})")
-    sl = np.s_[row0:row0 + crop_h, col0:col0 + crop_w]
-    img = sample.image[:, sl[0], sl[1]].copy()
+    recentres on the mean). The depth is the sample's own array, not a copy."""
+    # A C-ordered copy: `img.mean()` sums in memory order, and read_ppm
+    # returns a transposed view, so the layout decides the mean's last bit.
+    img = sample.image.copy()
     img *= brightness
     mean = img.mean()
     img = mean + (img - mean) * contrast
     img *= np.asarray(color).reshape(3, 1, 1)
-    return SceneSample(
-        image=np.clip(img, 0.0, 1.0),
-        depth=sample.depth[:, sl[0], sl[1]].copy(),
-    )
+    return SceneSample(image=np.clip(img, 0.0, 1.0), depth=sample.depth)
 
 
-def augment(sample: SceneSample, rng: Rng, crop_h: int | None = None, crop_w: int | None = None) -> SceneSample:
-    """Random crop plus brightness in [0.8,1.25], contrast in [0.9,1.1] and
-    per-channel color shift in [0.95,1.05]."""
-    _, h, w = sample.image.shape
-    ch = h if crop_h is None else crop_h
-    cw = w if crop_w is None else crop_w
-    if ch > h or cw > w:
-        raise ValueError(f"crop ({ch}x{cw}) larger than image ({h}x{w})")
-    row0 = rng.randint(0, h - ch)
-    col0 = rng.randint(0, w - cw)
+def augment(sample: SceneSample, rng: Rng) -> SceneSample:
+    """Brightness in [0.8,1.25], contrast in [0.9,1.1] and per-channel
+    color shift in [0.95,1.05], at the sample's full size."""
+    # Skip the two stream positions that once drew a crop offset, so that
+    # every seed keeps the same jitter and therefore the same checkpoint.
+    rng.next_u64()
+    rng.next_u64()
     brightness = rng.uniform(0.8, 1.25)
     contrast = rng.uniform(0.9, 1.1)
     color = tuple(rng.uniform(0.95, 1.05) for _ in range(3))
-    return apply_augment(sample, row0, col0, ch, cw, brightness, contrast, color)
+    return apply_augment(sample, brightness, contrast, color)
 
 
 # ---------------------------------------------------------------------------

@@ -553,13 +553,12 @@ class ParamStore:
             t.grad = np.zeros_like(t.data)
 
 
-def adam_step(
-    params: ParamStore,
-    lr: float = 2e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator guard (Kingma & Ba)
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(params: ParamStore, lr: float) -> None:
     """One Adam update with bias correction; state persists on the store."""
     if params._adam_m is None:
         params._adam_m = {n: np.zeros_like(t.data) for n, t in params.items()}
@@ -567,19 +566,19 @@ def adam_step(
         params._adam_t = 0
     params._adam_t += 1
     t = params._adam_t
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
         g = p.grad
         m = params._adam_m[name]
         v = params._adam_v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> float:

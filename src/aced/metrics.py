@@ -38,8 +38,10 @@ def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -
     if d.shape != d_gt.shape:
         raise MetricsError(f"shape mismatch: {d.shape} vs {d_gt.shape}")
     dv, gv = d.reshape(-1), d_gt.reshape(-1)
-    if dv.min() <= 0 or gv.min() <= 0:
-        raise MetricsError("non-positive depth")
+    for what, v in (("predicted", dv), ("ground-truth", gv)):
+        if v.min() <= 0:
+            raise MetricsError(f"non-positive depth: {int((v <= 0).sum())} of {v.size} "
+                               f"{what} pixels")
     ratio = np.maximum(dv / gv, gv / dv)
     deltas = [100.0 * float((ratio < 1.25**i).mean()) for i in (1, 2, 3)]
     return MetricReport(

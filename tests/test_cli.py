@@ -2,9 +2,10 @@
 train, eval, infer and render chain; train logs the terms its loss summed;
 ordinal-only training leaves the fusion and refinement untouched; eval
 prints one aggregate per output, pooled from its per-image lines; exit
-code 1 for a usage error or a bad config value, and 2 for a failed gradient
-check or diverged training; eval's hard decode is that of the upsampled
-head."""
+code 1 for a usage error, a bad config value or an eval output with
+non-positive depth (naming the image and the output), and 2 for a failed
+gradient check or diverged training (naming the partial log); eval's hard
+decode is that of the upsampled head."""
 
 import json
 import os
@@ -138,11 +139,27 @@ def test_eval_hard_decode_is_the_hard_decode_of_the_upsampled_head(tiny_dataset,
         np.testing.assert_array_equal(got, hard_decode(probs, th))
 
 
+def test_eval_names_the_image_and_output_with_non_positive_depth(tiny_dataset, tmp_path, capsys):
+    # The coarse depth is at most beta = 8, so a residual bias of -100 puts
+    # every refined pixel below zero; the coarse output stays positive.
+    cfg, manifest = tiny_dataset
+    params = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
+    params["refine.conv2.b"].data[...] = -100.0
+    ckpt = tmp_path / "negative.ckpt"
+    save_checkpoint(params, ckpt)
+    assert cli.main(["eval", *_sets(), str(ckpt), str(manifest)]) == 1
+    first = cli._split_pairs(cfg, read_manifest(manifest), "holdout")[0][0].name
+    assert first == "scene_00012.ppm"
+    assert (f"{first}, refined output: non-positive depth: 256 of 256 predicted pixels"
+            in capsys.readouterr().err)
+
+
 def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     _, manifest = tiny_dataset
     ckpt = tmp_path / "never.ckpt"
     for key in ("no_such_key", "detach_confidence", "input_channels", "mode", "beta1", "beta2",
-                "eps", "lr_power", "augment", "min_objects", "max_objects", "noise"):
+                "eps", "lr_power", "augment", "min_objects", "max_objects", "noise", "crop_h",
+                "crop_w"):
         code = cli.main(["train", *_sets([f"{key}=true"]), str(manifest), str(ckpt)])
         assert code == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -155,7 +172,6 @@ def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
 
 _BAD_CONFIGS = [
     (["image_h=24"], "height must be a positive multiple of 16, got 24"),
-    (["crop_h=48"], "crop (48x16) exceeds image (16x16)"),
     (["batch_size=0"], "batch_size must be >= 1"),
     (["max_iter=-1"], "max_iter must be >= 0"),
     (["num_scenes=-1"], "num_scenes must be >= 0"),
@@ -198,6 +214,9 @@ def test_diverged_training_exits_2(tiny_dataset, tmp_path):
     assert "training diverged: loss nan at iteration 1" in done.stderr
     assert "Traceback" not in done.stderr
     assert not ckpt.exists()
+    log = Path(f"{ckpt}.log.jsonl")
+    assert str(log) in done.stderr
+    assert [json.loads(line)["iter"] for line in log.read_text().splitlines()] == [0]
 
 
 def test_run_config_built_from_values_reads_every_key():

@@ -1,5 +1,6 @@
 """Netpbm round trips and format errors, the scene generator's determinism
-and range, and augmentation at identity parameters."""
+and range, and augmentation: identity parameters, the stream positions one
+call takes, and independence from the image's memory layout."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ import pytest
 from aced.data import (
     MalformedHeaderError,
     MissingScaleError,
+    SceneSample,
     SceneSpec,
     TruncatedPayloadError,
     apply_augment,
+    augment,
     generate_scene,
     read_pgm16,
     read_ppm,
     write_pgm16,
     write_ppm,
 )
+from aced.gradcore import Rng
 from aced.sid import DepthRange
 
 RANGE = DepthRange(0.5, 8.0)
@@ -103,19 +107,36 @@ class TestGenerateScene:
 class TestApplyAugment:
     def test_identity_parameters_return_the_input(self):
         s = generate_scene(_spec(), 0)
-        out = apply_augment(s, 0, 0, 16, 32, 1.0, 1.0, (1.0, 1.0, 1.0))
+        out = apply_augment(s, 1.0, 1.0, (1.0, 1.0, 1.0))
         np.testing.assert_array_equal(out.depth, s.depth)
         # The contrast step recentres on the image mean, which may round
         # the last bit.
         np.testing.assert_allclose(out.image, s.image, rtol=0, atol=1e-15)
 
-    def test_crop_takes_the_window(self):
-        s = generate_scene(_spec(), 1)
-        out = apply_augment(s, 2, 5, 8, 16, 1.0, 1.0, (1.0, 1.0, 1.0))
-        np.testing.assert_array_equal(out.depth, s.depth[:, 2:10, 5:21])
-        np.testing.assert_allclose(out.image, s.image[:, 2:10, 5:21], rtol=0, atol=1e-15)
 
-    def test_crop_larger_than_image_is_rejected(self):
-        s = generate_scene(_spec(), 0)
-        with pytest.raises(ValueError, match="larger than image"):
-            apply_augment(s, 0, 0, 32, 32, 1.0, 1.0, (1.0, 1.0, 1.0))
+class TestAugment:
+    def test_takes_seven_stream_positions(self):
+        # Two skipped positions, brightness, contrast and three color
+        # shifts: the same count as when two positions drew a crop offset,
+        # so every seed keeps its jitter and its checkpoint.
+        rng, ref = Rng(11), Rng(11)
+        augment(generate_scene(_spec(), 0), rng)
+        for _ in range(7):
+            ref.next_u64()
+        assert rng.next_u64() == ref.next_u64()
+
+    def test_image_layout_does_not_change_the_result(self, tmp_path):
+        # read_ppm returns a transposed view; the image mean sums in memory
+        # order, so augment must give the bits of a C-ordered copy. The two
+        # summation orders round the mean differently for some jitter draws
+        # only, hence several streams.
+        s = generate_scene(_spec(), 2)
+        write_ppm(tmp_path / "a.ppm", s.image)
+        image = read_ppm(tmp_path / "a.ppm")
+        assert not image.flags.c_contiguous
+        contiguous = np.ascontiguousarray(image)
+        for seed in range(8):
+            a = augment(SceneSample(image, s.depth), Rng(seed))
+            b = augment(SceneSample(contiguous, s.depth), Rng(seed))
+            np.testing.assert_array_equal(a.image, b.image, err_msg=f"stream {seed}")
+            np.testing.assert_array_equal(a.depth, b.depth)

@@ -543,7 +543,7 @@ class TestAdam:
         params = gc.ParamStore()
         p = params.add("p", np.full((1, 1, 1, 1), 1.5))
         params.zero_grads()
-        gc.adam_step(params)
+        gc.adam_step(params, lr=0.01)
         assert p.data[0, 0, 0, 0] == 1.5
 
     def test_constant_gradient_moves_against_sign(self):
@@ -559,7 +559,7 @@ class TestAdam:
         params = gc.ParamStore()
         p = params.add("p", np.full((1, 1, 1, 1), 1.0))
         p.grad = np.full((1, 1, 1, 1), 1.0)
-        gc.adam_step(params, lr, b1, b2, eps)
+        gc.adam_step(params, lr)
         # independent recurrence: m=0.1 -> mhat=1; v=0.001 -> vhat=1
         m = (1 - b1) * 1.0
         v = (1 - b2) * 1.0
@@ -570,7 +570,7 @@ class TestAdam:
         params = gc.ParamStore()
         params.add("enc.w", np.zeros((1, 1, 1, 1)))
         with pytest.raises(gc.MissingGradientError, match="enc.w"):
-            gc.adam_step(params)
+            gc.adam_step(params, lr=0.01)
 
 
 class TestPolyLr:
