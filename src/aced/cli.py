@@ -2,9 +2,8 @@
 image inference, gradient checking and depth-map rendering, all driven by a
 flat key=value config with deterministic seeded behaviour.
 
-Config precedence is defaults < config file < --set overrides (in order)
-< an explicit --seed flag. Exit codes: 0 success, 1 usage error,
-2 numerical failure.
+Config precedence is defaults < --set overrides (in order) < an explicit
+--seed flag. Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -126,42 +125,19 @@ class RunConfig:
         return LossWeights(self.w_ord, self.w_log, self.w_grad)
 
 
-def _parse_pairs(text: str, source: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        yield key.strip(), value.strip(), f"{source}:{lineno}"
-
-
-def load_config(
-    config_path=None,
-    sets: list[str] | None = None,
-    seed: int | None = None,
-) -> RunConfig:
+def load_config(sets: list[str] | None = None, seed: int | None = None) -> RunConfig:
     merged = {k: default for k, (_, default) in _SCHEMA.items()}
-
-    def apply(key, raw, where):
+    for i, item in enumerate(sets or []):
+        where = f"--set #{i + 1}"
+        if "=" not in item:
+            raise ConfigError(f"{where}: expected key=value, got {item!r}")
+        key, _, raw = (part.strip() for part in item.partition("="))
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        parser, _ = _SCHEMA[key]
         try:
-            merged[key] = parser(raw)
+            merged[key] = _SCHEMA[key][0](raw)
         except ValueError as e:
             raise ConfigError(f"{where}: bad value for {key!r}: {e}") from None
-
-    if config_path is not None:
-        text = Path(config_path).read_text()
-        for key, raw, where in _parse_pairs(text, str(config_path)):
-            apply(key, raw, where)
-    for i, item in enumerate(sets or []):
-        if "=" not in item:
-            raise ConfigError(f"--set #{i + 1}: expected key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        apply(key.strip(), raw.strip(), f"--set #{i + 1}")
     if seed is not None:
         merged["seed"] = seed
 
@@ -207,8 +183,6 @@ def cmd_gen_data(cfg: RunConfig, out_dir) -> Path:
 def _split_pairs(cfg: RunConfig, pairs, split: str):
     """The last `holdout` pairs of the manifest are the holdout split, the
     rest the train split."""
-    if split == "all":
-        return pairs
     cut = len(pairs) - cfg.holdout
     if cut < 0:
         raise ConfigError(f"holdout={cfg.holdout} exceeds the {len(pairs)} pairs of the manifest")
@@ -282,14 +256,18 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
              out_path=None) -> dict:
     """Metrics for coarse, refined and hard-decode outputs on a manifest
     split; one JSON line per (image, output) plus pixel-weighted aggregates.
-    Returns {output_kind: aggregate dict}."""
+    Returns {output_kind: aggregate dict}.
+
+    A pair that cannot be scored (a non-positive depth) is skipped, and so
+    is the aggregate of its output kind; the rest is still written, then a
+    MetricsError names the first failure and counts them all."""
     pairs = _split_pairs(cfg, read_manifest(manifest_path), split)
     if not pairs:
         raise ConfigError(f"split {split!r} of {manifest_path} is empty")
     th = cfg.thresholds()
     params = _load_model(cfg, checkpoint)
 
-    lines = []
+    lines, failures = [], []
     sums: dict[str, dict] = {}  # kind -> pixel-weighted sums of each field, rms squared
     for img_path, dep_path in pairs:
         name = Path(img_path).name
@@ -307,7 +285,8 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
             try:
                 rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
             except MetricsError as e:
-                raise MetricsError(f"{name}, {kind} output: {e}") from None
+                failures.append((kind, f"{name}, {kind} output: {e}"))
+                continue
             lines.append({"image": name, "output": kind, **rep})
             n = rep["pixel_count"]
             agg = sums.setdefault(kind, dict.fromkeys(rep, 0))
@@ -318,6 +297,8 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
 
     aggregates = {}
     for kind, agg in sums.items():
+        if any(kind == failed for failed, _ in failures):
+            continue
         n = agg["pixel_count"]
         rec = {"output": kind, "aggregate": True, **{key: total / n for key, total in agg.items()},
                "rms": float(np.sqrt(agg["rms"] / n)), "pixel_count": n}
@@ -328,13 +309,17 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         with open(out_path, "w", newline="\n") as f:
             for line in lines:
                 f.write(json.dumps(line) + "\n")
+    if failures:
+        raise MetricsError(f"{failures[0][1]} ({len(failures)} of "
+                           f"{len(pairs) * len(decoded)} (image, output) pairs failed)")
     return aggregates
 
 
 def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, Path]:
     """One forward pass on a PPM image; writes refined depth (PGM, scale
-    beta/65535), confidence (PGM, scale 1/65535) and the render of that
-    depth PGM."""
+    beta/65535, so depths above beta are clipped to beta), confidence (PGM,
+    scale 1/65535) and the render of that depth PGM. A non-positive refined
+    depth is a MetricsError, raised before any file is written."""
     image_arr = read_ppm(image_path)
     _, h, w = image_arr.shape
     if h % 16 or w % 16:
@@ -343,6 +328,9 @@ def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, P
     params = _load_model(cfg, checkpoint)
     out = forward(None, Tensor(image_arr[None]), params, th)
     depth = out.refined.data[0]
+    bad = np.count_nonzero(depth <= 0)
+    if bad:
+        raise MetricsError(f"{image_path}: non-positive refined depth: {bad} of {depth.size} pixels")
     conf = out.confidence.data[0]
     paths = {
         "depth": Path(f"{out_prefix}.depth.pgm"),
@@ -392,7 +380,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", type=Path, default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--set", dest="sets", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key (repeatable)")
@@ -411,7 +398,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("checkpoint", type=Path)
     p.add_argument("manifest", type=Path)
-    p.add_argument("--split", choices=("train", "holdout", "all"), default="holdout")
+    p.add_argument("--split", choices=("train", "holdout"), default="holdout")
     p.add_argument("--out", type=Path, default=None, help="metrics JSONL path")
 
     p = sub.add_parser("infer", help="depth + confidence for one PPM image")
@@ -436,7 +423,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, args.sets, args.seed)
+        cfg = load_config(args.sets, args.seed)
         if args.command == "gen-data":
             manifest = cmd_gen_data(cfg, args.out_dir)
             print(manifest)

@@ -31,7 +31,6 @@ __all__ = [
     "read_ppm",
     "write_pgm16",
     "read_pgm16",
-    "write_sample",
     "read_sample",
     "write_manifest",
     "read_manifest",
@@ -275,11 +274,6 @@ def read_pgm16(path) -> tuple[np.ndarray, float]:
     return raw.astype(np.float64) * scale, scale
 
 
-def write_sample(image_path, depth_path, sample: SceneSample, depth_range: DepthRange) -> None:
-    write_ppm(image_path, sample.image)
-    write_pgm16(depth_path, sample.depth, depth_range.beta / 65535.0)
-
-
 def read_sample(image_path, depth_path) -> SceneSample:
     image = read_ppm(image_path)
     depth, _ = read_pgm16(depth_path)
@@ -322,7 +316,8 @@ def generate_dataset(spec: SceneSpec, count: int, out_dir) -> Path:
         sample = generate_scene(spec, i)
         img_name = f"scene_{i:05d}.ppm"
         dep_name = f"scene_{i:05d}.pgm"
-        write_sample(out / img_name, out / dep_name, sample, spec.depth_range)
+        write_ppm(out / img_name, sample.image)
+        write_pgm16(out / dep_name, sample.depth, spec.depth_range.beta / 65535.0)
         pairs.append((img_name, dep_name))
     manifest = out / "manifest.txt"
     write_manifest(manifest, pairs)

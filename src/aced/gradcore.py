@@ -621,7 +621,8 @@ def _read_line(buf: bytes, pos: int, what: str) -> tuple[str, int]:
 
 
 def load_checkpoint(params: ParamStore, path) -> None:
-    """Load values into an existing store; names, order and shapes must match."""
+    """Load values into an existing store; names, order and shapes must match
+    and every value must be finite."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf.startswith(_FULL_RES_FUSION_MAGIC):
@@ -652,7 +653,10 @@ def load_checkpoint(params: ParamStore, path) -> None:
         nbytes = 8 * int(np.prod(shape))
         if pos + nbytes > len(buf):
             raise CheckpointError(f"{path}: truncated payload for {name!r}")
-        t.data[...] = np.frombuffer(buf[pos:pos + nbytes], dtype="<f8").reshape(shape)
+        values = np.frombuffer(buf[pos:pos + nbytes], dtype="<f8")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: non-finite value in {name!r}")
+        t.data[...] = values.reshape(shape)
         pos += nbytes
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes after parameters")

@@ -42,9 +42,7 @@ from .sid import SidThresholds, label_to_depth_op
 __all__ = [
     "IMAGE_CHANNELS",
     "NetworkConfig",
-    "EncoderFeatures",
     "ForwardResult",
-    "stage_widths",
     "init_params",
     "encode",
     "decode_to_logits",
@@ -76,15 +74,6 @@ class NetworkConfig:
             raise ValueError("channel widths must be positive")
 
 
-class EncoderFeatures(NamedTuple):
-    """Feature maps at scales 1/2, 1/4, 1/8, 1/16 of the input."""
-
-    f1: Tensor
-    f2: Tensor
-    f3: Tensor
-    f4: Tensor
-
-
 class ForwardResult(NamedTuple):
     """coarse, confidence and refined are (B, 1, H, W) at the input's
     resolution; probs (B, K-1, H/2, W/2) and logits (B, 2(K-1), H/2, W/2) are
@@ -97,15 +86,10 @@ class ForwardResult(NamedTuple):
     logits: Tensor
 
 
-def stage_widths(config: NetworkConfig) -> tuple[int, int, int, int]:
-    bw = config.base_width
-    return (bw, 2 * bw, 4 * bw, 8 * bw)
-
-
 def _conv_specs(config: NetworkConfig):
     """Every convolution as (name, out_channels, in_channels, kernel); the
     order here fixes parameter-store order, init order and checkpoint layout."""
-    w1, w2, w3, w4 = stage_widths(config)
+    w1, w2, w3, w4 = (config.base_width * m for m in (1, 2, 4, 8))
     specs = [
         ("enc1.conv1", w1, IMAGE_CHANNELS, 3),
         ("enc1.conv2", w1, w1, 3),
@@ -144,8 +128,9 @@ def _conv(tape, x, params, name, stride=1, padding=1, upsample=1):
     return conv2d(tape, x, params[f"{name}.w"], params[f"{name}.b"], stride, padding, upsample)
 
 
-def encode(tape: Tape | None, image: Tensor, params: ParamStore) -> EncoderFeatures:
-    """Four stages of (stride-2 conv3x3, relu, conv3x3, relu)."""
+def encode(tape: Tape | None, image: Tensor, params: ParamStore) -> tuple[Tensor, ...]:
+    """Four stages of (stride-2 conv3x3, relu, conv3x3, relu); the feature
+    maps at scales 1/2, 1/4, 1/8 and 1/16 of the input."""
     b, c, h, w = image.shape
     if c != IMAGE_CHANNELS:
         raise ShapeMismatchError(f"encode: image has {c} channels, expected {IMAGE_CHANNELS}")
@@ -157,22 +142,22 @@ def encode(tape: Tape | None, image: Tensor, params: ParamStore) -> EncoderFeatu
         x = relu(tape, _conv(tape, x, params, f"enc{i}.conv1", stride=2))
         x = relu(tape, _conv(tape, x, params, f"enc{i}.conv2"))
         feats.append(x)
-    return EncoderFeatures(*feats)
+    return tuple(feats)
 
 
-def decode_to_logits(tape: Tape | None, feats: EncoderFeatures, params: ParamStore) -> Tensor:
+def decode_to_logits(tape: Tape | None, feats: tuple[Tensor, ...], params: ParamStore) -> Tensor:
     """Deepest features upsampled x2, concatenated with the matching skip and
     convolved, three times; a 1x1 head then emits 2*(K-1) channels at half
     resolution, the resolution of the 1/2-scale skip."""
-    x = feats.f4
-    for name, skip in (("dec3", feats.f3), ("dec2", feats.f2), ("dec1", feats.f1)):
+    f1, f2, f3, x = feats
+    for name, skip in (("dec3", f3), ("dec2", f2), ("dec1", f1)):
         x = upsample_nearest(tape, x, 2)
         x = concat_channels(tape, [x, skip])
         x = relu(tape, _conv(tape, x, params, name))
     return conv2d(tape, x, params["head.w"], params["head.b"], 1, 0)
 
 
-def fuse_multiscale(tape: Tape | None, feats: EncoderFeatures, params: ParamStore) -> Tensor:
+def fuse_multiscale(tape: Tape | None, feats: tuple[Tensor, ...], params: ParamStore) -> Tensor:
     """Each scale i refined at its native resolution by a two-conv residual
     block h_i (identity when the branch weights are zero) and merged there by
     its slice of the 1x1 `fuse_merge` conv, m_i = conv1x1(h_i, W[:, lo_i:hi_i]),

@@ -80,10 +80,11 @@ def depth_to_label(depth, th: SidThresholds):
 def label_to_depth(p, th: SidThresholds):
     """Continuous inverse of the discretization: alpha * exp(p * log(beta/alpha)/K).
 
-    p is clamped into [0, K]; p=0 gives alpha and p=K gives beta.
+    p=0 gives alpha and p=K gives beta; p outside [0, K] extrapolates along
+    the same exponential, so the depth stays positive and the gradient
+    nonzero. The expected label of the ordinal head lies in [0, K-1].
     """
-    pc = np.clip(np.asarray(p, dtype=np.float64), 0.0, float(th.k_levels))
-    out = th.range.alpha * np.exp(pc * th.log_ratio)
+    out = th.range.alpha * np.exp(np.asarray(p, dtype=np.float64) * th.log_ratio)
     return out if out.ndim else float(out)
 
 
@@ -92,9 +93,8 @@ def label_to_depth_op(tape: Tape | None, p: Tensor, th: SidThresholds) -> Tensor
     out_data = label_to_depth(p.data, th)
     out = Tensor(out_data)
     if tape is not None and p.needs_grad:
-        inside = (p.data >= 0.0) & (p.data <= th.k_levels)  # clamp kills gradient outside
         def bwd(g):
-            _accum(p, g * out_data * th.log_ratio * inside)
+            _accum(p, g * out_data * th.log_ratio)
         tape.record("label_to_depth", (p,), out, bwd)
     return out
 

@@ -3,9 +3,11 @@ train, eval, infer and render chain; train logs the terms its loss summed;
 ordinal-only training leaves the fusion and refinement untouched; eval
 prints one aggregate per output, pooled from its per-image lines; exit
 code 1 for a usage error, a bad config value or an eval output with
-non-positive depth (naming the image and the output), and 2 for a failed
-gradient check or diverged training (naming the partial log); eval's hard
-decode is that of the upsampled head."""
+non-positive depth (naming the image and the output, after writing every
+pair that scored), an infer output with non-positive depth (writing no
+file) or a checkpoint with a non-finite value, and 2 for a failed gradient
+check or diverged training (naming the partial log); eval's hard decode is
+that of the upsampled head."""
 
 import json
 import os
@@ -19,6 +21,7 @@ import pytest
 from aced import cli, network
 from aced.data import read_manifest, read_pgm16, read_ppm, write_ppm
 from aced.gradcore import Rng, Tensor, derive_seed, load_checkpoint, save_checkpoint, upsample_nearest
+from aced.metrics import MetricsError
 from aced.ordhead import pair_softmax
 from aced.sid import hard_decode
 from conftest import TINY_SETS, tiny_config
@@ -154,6 +157,77 @@ def test_eval_names_the_image_and_output_with_non_positive_depth(tiny_dataset, t
             in capsys.readouterr().err)
 
 
+def _checkpoint_with_refine_bias(cfg, path, bias):
+    params = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
+    params["refine.conv2.b"].data[...] = bias
+    save_checkpoint(params, path)
+    return path
+
+
+def test_eval_scores_every_other_pair_when_one_output_fails(tiny_dataset, tmp_path, capsys):
+    # Every refined pixel is negative; the coarse and hard outputs still score.
+    cfg, manifest = tiny_dataset
+    ckpt = _checkpoint_with_refine_bias(cfg, tmp_path / "negative.ckpt", -100.0)
+    out = tmp_path / "metrics.jsonl"
+    assert cli.main(["eval", *_sets(), str(ckpt), str(manifest), "--out", str(out)]) == 1
+    assert "(4 of 12 (image, output) pairs failed)" in capsys.readouterr().err
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    holdout = [img.name for img, _ in cli._split_pairs(cfg, read_manifest(manifest), "holdout")]
+    per_image = [(rec["image"], rec["output"]) for rec in lines if "image" in rec]
+    assert sorted(per_image) == sorted((n, k) for n in holdout for k in ("coarse", "hard"))
+    assert [rec["output"] for rec in lines if rec.get("aggregate")] == ["coarse", "hard"]
+    assert len(lines) == 2 * cfg.holdout + 2
+
+
+def test_eval_writes_no_aggregate_for_an_output_that_failed_on_one_image(tiny_dataset, tmp_path,
+                                                                          monkeypatch):
+    cfg, manifest = tiny_dataset
+    params = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(params, ckpt)
+    calls = []
+    real = cli.compute_metrics
+
+    def fail_the_first_call(depth, *args):  # the first image's coarse output
+        calls.append(depth)
+        if len(calls) == 1:
+            raise MetricsError("injected")
+        return real(depth, *args)
+
+    monkeypatch.setattr(cli, "compute_metrics", fail_the_first_call)
+    out = tmp_path / "metrics.jsonl"
+    with pytest.raises(MetricsError, match=r"^scene_00012.ppm, coarse output: injected \(1 of 12 "):
+        cli.cmd_eval(cfg, ckpt, manifest, out_path=out)
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert sum(rec["output"] == "coarse" for rec in lines) == cfg.holdout - 1
+    assert [rec["output"] for rec in lines if rec.get("aggregate")] == ["refined", "hard"]
+
+
+def test_infer_refuses_a_non_positive_refined_depth(tiny_dataset, tmp_path, capsys):
+    cfg, manifest = tiny_dataset
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    ckpt = _checkpoint_with_refine_bias(cfg, tmp_path / "negative.ckpt", -100.0)
+    image = manifest.parent / "scene_00000.ppm"
+    assert cli.main(["infer", *_sets(), str(ckpt), str(image), str(out_dir / "x")]) == 1
+    assert (f"{image}: non-positive refined depth: 256 of 256 pixels"
+            in capsys.readouterr().err)
+    assert list(out_dir.iterdir()) == []
+
+
+def test_non_finite_checkpoint_is_rejected_by_eval_and_infer(tiny_dataset, tmp_path, capsys):
+    cfg, manifest = tiny_dataset
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    ckpt = _checkpoint_with_refine_bias(cfg, tmp_path / "nan.ckpt", np.nan)
+    image = manifest.parent / "scene_00000.ppm"
+    for args in (["eval", *_sets(), str(ckpt), str(manifest), "--out", str(out_dir / "m.jsonl")],
+                 ["infer", *_sets(), str(ckpt), str(image), str(out_dir / "x")]):
+        assert cli.main(args) == 1
+        assert f"{ckpt}: non-finite value in 'refine.conv2.b'" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     _, manifest = tiny_dataset
     ckpt = tmp_path / "never.ckpt"
@@ -164,10 +238,17 @@ def test_unknown_config_key_is_a_usage_error(tiny_dataset, tmp_path, capsys):
         assert code == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not ckpt.exists()
-    code = cli.main(["train", "--mode", "baseline", *_sets(), str(manifest), str(ckpt)])
-    assert code == 1
-    assert "--mode" in capsys.readouterr().err
-    assert not ckpt.exists()
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("k=4\n")
+    train = [*_sets(), str(manifest), str(ckpt)]
+    for args, flag in ((["train", "--mode", "baseline", *train], "--mode"),
+                       (["train", "--config", str(config_file), *train], "--config"),
+                       (["eval", "--split", "all", *_sets(), str(ckpt), str(manifest)],
+                        "argument --split: invalid choice: 'all'")):
+        code = cli.main(args)
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not ckpt.exists()
 
 
 _BAD_CONFIGS = [

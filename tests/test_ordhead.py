@@ -248,6 +248,15 @@ class TestExpectedLabel:
         p = expected_label(None, probs_tensor(vec)).item()
         assert 0.0 <= p <= 4.0
 
+    @given(st.integers(2, 17).flatmap(
+        lambda k: arrays(np.float64, (1, 2 * (k - 1), 1, 1), elements=st.floats(-800.0, 800.0))))
+    @settings(max_examples=200)
+    def test_decode_of_any_logits_stays_in_range(self, z):
+        # Why label_to_depth needs no clamp: from any finite logits, even
+        # ones that saturate every classifier, p lies in [0, K-1].
+        p = expected_label(None, pair_softmax(None, gc.Tensor(z))).item()
+        assert 0.0 <= p <= z.shape[1] // 2
+
 
 class TestConfidence:
     def _conf(self, vec):

@@ -87,9 +87,11 @@ class TestLabelToDepth:
     def test_fractional_label(self):
         np.testing.assert_allclose(label_to_depth(2.5, TH), 0.5 * 2**2.5, rtol=1e-12)
 
-    def test_clamps_outside(self):
-        assert label_to_depth(-3.0, TH) == label_to_depth(0.0, TH)
-        assert label_to_depth(9.0, TH) == label_to_depth(4.0, TH)
+    def test_extrapolates_outside(self):
+        # No clamp: outside [0, K] the decode follows the same exponential.
+        assert label_to_depth(-3.0, TH) == 0.5 * np.exp(-3.0 * TH.log_ratio)
+        assert label_to_depth(9.0, TH) == 0.5 * np.exp(9.0 * TH.log_ratio)
+        np.testing.assert_allclose(label_to_depth(-3.0, TH), 0.5 / 8, rtol=1e-12)
 
     def test_tape_op_derivative(self):
         p = gc.Tensor(np.full((1, 1, 1, 1), 1.7), requires_grad=True)
@@ -98,6 +100,15 @@ class TestLabelToDepth:
         gc.backward(out)
         expect = out.item() * math.log(8.0 / 0.5) / 4
         np.testing.assert_allclose(p.grad[0, 0, 0, 0], expect, rtol=1e-12)
+
+    def test_tape_op_gradient_outside_the_range(self):
+        # Above p = K the depth extrapolates, so the gradient is depth * r, not 0.
+        p = gc.Tensor(np.full((1, 1, 1, 1), TH.k_levels + 0.5), requires_grad=True)
+        tape = gc.Tape()
+        out = label_to_depth_op(tape, p, TH)
+        gc.backward(out)
+        assert out.item() > 8.0
+        assert p.grad[0, 0, 0, 0] == out.item() * TH.log_ratio
 
 
 class TestEncodeRank:
