@@ -4,6 +4,7 @@ flat key=value config with deterministic seeded behaviour.
 
 Config precedence is defaults < --set overrides (in order) < an explicit
 --seed flag. Exit codes: 0 success, 1 usage error, 2 numerical failure.
+The depth range is the constant sid.DEPTH_RANGE, since a checkpoint means it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .gradcore import (
 from .losses import LossWeights, total_loss
 from .metrics import MetricsError, compute_metrics
 from .network import NetworkConfig, forward, init_params
-from .sid import DepthRange, depth_to_label, encode_rank, hard_decode, make_thresholds
+from .sid import DEPTH_RANGE, depth_to_label, encode_rank, hard_decode, make_thresholds
 
 __all__ = [
     "ConfigError",
@@ -76,8 +77,6 @@ class NumericalFailure(Exception):
 # iterations so the whole pipeline runs in minutes on one thread.
 _SCHEMA: dict[str, tuple] = {
     "k": (int, 16),
-    "alpha": (float, 0.5),
-    "beta": (float, 8.0),
     "image_h": (int, 32),
     "image_w": (int, 32),
     "base_width": (int, 4),
@@ -86,12 +85,10 @@ _SCHEMA: dict[str, tuple] = {
     "max_iter": (int, 500),
     "batch_size": (int, 8),
     "seed": (int, 0),
-    "w_ord": (float, 1.0),
     "w_log": (float, 1.0),
     "w_grad": (float, 1.0),
     "num_scenes": (int, 256),
     "holdout": (int, 32),
-    "plane_depth": (float, 3.0),
 }
 
 LR_POWER = 0.9  # power of the polynomial learning-rate decay, as in DORN
@@ -106,11 +103,8 @@ class RunConfig:
     def __post_init__(self):
         self.__dict__.update(self.values)
 
-    def depth_range(self) -> DepthRange:
-        return DepthRange(self.alpha, self.beta)
-
     def thresholds(self):
-        return make_thresholds(self.depth_range(), self.k)
+        return make_thresholds(DEPTH_RANGE, self.k)
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(
@@ -122,7 +116,7 @@ class RunConfig:
         )
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(self.w_ord, self.w_log, self.w_grad)
+        return LossWeights(self.w_log, self.w_grad)
 
 
 def load_config(sets: list[str] | None = None, seed: int | None = None) -> RunConfig:
@@ -153,7 +147,6 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.lr <= 0:
         raise ConfigError(f"lr must be > 0, got {cfg.lr!r}")
     try:
-        cfg.depth_range()
         cfg.network_config()
         cfg.loss_weights()
     except ValueError as e:
@@ -166,8 +159,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("num_scenes must be >= 0")
     if not 0 <= cfg.holdout <= cfg.num_scenes:
         raise ConfigError("holdout must lie in [0, num_scenes]")
-    if not cfg.alpha < cfg.plane_depth < cfg.beta:
-        raise ConfigError("plane_depth must lie strictly inside (alpha, beta)")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +167,7 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir) -> Path:
-    spec = SceneSpec(cfg.seed, cfg.image_h, cfg.image_w, cfg.depth_range())
+    spec = SceneSpec(cfg.seed, cfg.image_h, cfg.image_w, DEPTH_RANGE)
     return generate_dataset(spec, cfg.num_scenes, out_dir)
 
 
@@ -283,7 +274,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         del out  # its logits and probabilities would stay alive through the next forward
         for kind, d in decoded.items():
             try:
-                rep = compute_metrics(d, depth_gt, cfg.plane_depth).to_dict()
+                rep = compute_metrics(d, depth_gt).to_dict()
             except MetricsError as e:
                 failures.append((kind, f"{name}, {kind} output: {e}"))
                 continue
@@ -318,8 +309,8 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
 def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, Path]:
     """One forward pass on a PPM image; writes refined depth (PGM, scale
     beta/65535, so depths above beta are clipped to beta), confidence (PGM,
-    scale 1/65535) and the render of that depth PGM. A non-positive refined
-    depth is a MetricsError, raised before any file is written."""
+    scale 1/65535) and the render of that depth PGM. A non-finite or
+    non-positive refined depth raises MetricsError before any file is written."""
     image_arr = read_ppm(image_path)
     _, h, w = image_arr.shape
     if h % 16 or w % 16:
@@ -328,26 +319,27 @@ def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, P
     params = _load_model(cfg, checkpoint)
     out = forward(None, Tensor(image_arr[None]), params, th)
     depth = out.refined.data[0]
-    bad = np.count_nonzero(depth <= 0)
-    if bad:
-        raise MetricsError(f"{image_path}: non-positive refined depth: {bad} of {depth.size} pixels")
+    for fault, bad in (("non-finite", ~np.isfinite(depth)), ("non-positive", depth <= 0)):
+        if bad.any():
+            raise MetricsError(f"{image_path}: {fault} refined depth: "
+                               f"{np.count_nonzero(bad)} of {depth.size} pixels")
     conf = out.confidence.data[0]
     paths = {
         "depth": Path(f"{out_prefix}.depth.pgm"),
         "confidence": Path(f"{out_prefix}.conf.pgm"),
         "visualization": Path(f"{out_prefix}.vis.ppm"),
     }
-    write_pgm16(paths["depth"], depth, cfg.beta / 65535.0)
+    write_pgm16(paths["depth"], depth, DEPTH_RANGE.beta / 65535.0)
     write_pgm16(paths["confidence"], conf, 1.0 / 65535.0)
-    cmd_render(cfg, paths["depth"], paths["visualization"])
+    cmd_render(paths["depth"], paths["visualization"])
     return paths
 
 
-def cmd_render(cfg: RunConfig, depth_path, out_path) -> Path:
+def cmd_render(depth_path, out_path) -> Path:
     """Grayscale visualization of a depth PGM (PPM, linear [alpha, beta] ->
     [0, 255]); infer writes its visualization this way."""
     depth, _ = read_pgm16(depth_path)
-    gray = np.clip((depth - cfg.alpha) / (cfg.beta - cfg.alpha), 0.0, 1.0)
+    gray = np.clip((depth - DEPTH_RANGE.alpha) / (DEPTH_RANGE.beta - DEPTH_RANGE.alpha), 0.0, 1.0)
     write_ppm(out_path, np.broadcast_to(gray, (3,) + depth.shape[1:]).copy())
     return Path(out_path)
 
@@ -444,7 +436,7 @@ def main(argv=None) -> int:
             if not cmd_grad_check(cfg, args.corrupt):
                 return 2
         elif args.command == "render":
-            print(cmd_render(cfg, args.depth, args.out_ppm))
+            print(cmd_render(args.depth, args.out_ppm))
         return 0
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -190,12 +190,12 @@ def _check_composed_network(rng, k=4):
     input size (spatial dims must be multiples of 16)."""
     config = network.NetworkConfig(k_levels=k, height=16, width=16,
                                    base_width=2, fusion_width=4)
-    th = sid.make_thresholds(sid.DepthRange(0.5, 8.0), k)
+    th = sid.make_thresholds(sid.DEPTH_RANGE, k)
     params = network.init_params(config, rng.spawn("init"))
     image = gc.Tensor(rng.fill_uniform((1, 3, 16, 16), 0.0, 1.0))
     gt = rng.fill_uniform((1, 1, 16, 16), 0.6, 7.5)
     target = _rank_target(rng, k, (1, 1, 16, 16))
-    weights = losses.LossWeights(1.0, 1.0, 1.0)
+    weights = losses.LossWeights()
 
     def build(tape):
         out = network.forward(tape, image, params, th)
@@ -204,7 +204,7 @@ def _check_composed_network(rng, k=4):
     return build, [t for _, t in params.items()]
 
 
-_TH5 = sid.make_thresholds(sid.DepthRange(0.5, 8.0), 5)
+_TH5 = sid.make_thresholds(sid.DEPTH_RANGE, 5)
 
 _COMPONENTS = [
     ("conv2d_stride1", _conv(1, 1, 3), PRIMITIVE_TOL),

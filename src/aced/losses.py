@@ -17,15 +17,15 @@ __all__ = ["LossWeights", "loss_log", "loss_grad", "total_loss"]
 
 @dataclass(frozen=True)
 class LossWeights:
-    w_ord: float = 1.0
+    """Regression weights relative to the ordinal term, which needs none: Adam's
+    step does not change when the whole loss is scaled (up to its epsilon)."""
+
     w_log: float = 1.0
     w_grad: float = 1.0
 
     def __post_init__(self):
-        if self.w_ord < 0 or self.w_log < 0 or self.w_grad < 0:
+        if self.w_log < 0 or self.w_grad < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.w_ord == self.w_log == self.w_grad == 0:
-            raise ValueError("at least one loss weight must be positive")
 
 
 def loss_log(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
@@ -97,24 +97,20 @@ def total_loss(
     depth_gt: np.ndarray,
     weights: LossWeights,
 ) -> tuple[Tensor, dict[str, float]]:
-    """w_ord * ordinal(logits) + w_log * log-loss(refined) + w_grad *
+    """ordinal(logits) + w_log * log-loss(refined) + w_grad *
     grad-loss(refined), summed in that order, and the unweighted terms keyed
     loss_ord, loss_log and loss_grad.
 
-    The coarse depth is trained by the ordinal term alone. A term whose
-    weight is 0 is evaluated off the tape: it is reported but adds nothing
-    to the loss and records no node.
+    The coarse depth is trained by the ordinal term alone. A regression term
+    whose weight is 0 is evaluated off the tape: it is reported but adds
+    nothing to the loss and records no node.
     """
-    out = None
-    parts = {}
-    for key, w, term_fn, pred, gt in (
-        ("loss_ord", weights.w_ord, ordinal_loss, logits, target),
-        ("loss_log", weights.w_log, loss_log, refined, depth_gt),
-        ("loss_grad", weights.w_grad, loss_grad, refined, depth_gt),
-    ):
-        term = term_fn(tape if w != 0.0 else None, pred, gt)
+    out = ordinal_loss(tape, logits, target)
+    parts = {"loss_ord": out.item()}
+    for key, w, term_fn in (("loss_log", weights.w_log, loss_log),
+                            ("loss_grad", weights.w_grad, loss_grad)):
+        term = term_fn(tape if w != 0.0 else None, refined, depth_gt)
         parts[key] = term.item()
         if w != 0.0:
-            weighted = scale(tape, term, w)
-            out = weighted if out is None else add(tape, out, weighted)
+            out = add(tape, out, scale(tape, term, w))
     return out, parts

@@ -5,6 +5,7 @@ depth error (side-of-plane agreement). Percentages are reported in [0, 100].
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -32,25 +33,31 @@ class MetricReport:
 
 
 def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -> MetricReport:
-    """Every metric over all pixels of two same-shape positive depth maps.
-    DDE is the percent of pixels whose prediction falls on the same side of
-    the plane at plane_depth as the ground truth."""
+    """Every metric over all pixels of two same-shape finite positive depth
+    maps; a metric that overflows is a MetricsError. DDE is the percent of
+    pixels whose prediction falls on the same side of the plane at
+    plane_depth as the ground truth."""
     if d.shape != d_gt.shape:
         raise MetricsError(f"shape mismatch: {d.shape} vs {d_gt.shape}")
     dv, gv = d.reshape(-1), d_gt.reshape(-1)
     for what, v in (("predicted", dv), ("ground-truth", gv)):
-        if v.min() <= 0:
-            raise MetricsError(f"non-positive depth: {int((v <= 0).sum())} of {v.size} "
-                               f"{what} pixels")
-    ratio = np.maximum(dv / gv, gv / dv)
-    deltas = [100.0 * float((ratio < 1.25**i).mean()) for i in (1, 2, 3)]
-    return MetricReport(
-        rel=float(np.mean(np.abs(dv - gv) / gv)),
-        log10=float(np.mean(np.abs(np.log10(dv) - np.log10(gv)))),
-        rms=float(np.sqrt(np.mean((dv - gv) ** 2))),
-        delta1=deltas[0],
-        delta2=deltas[1],
-        delta3=deltas[2],
-        dde=100.0 * float(((dv <= plane_depth) == (gv <= plane_depth)).mean()),
-        pixel_count=int(dv.size),
-    )
+        if not 0 < v.min() <= v.max() < np.inf:  # False for a NaN too
+            bad = ~np.isfinite(v)
+            fault, bad = ("non-finite", bad) if bad.any() else ("non-positive", v <= 0)
+            raise MetricsError(f"{fault} depth: {np.count_nonzero(bad)} of {v.size} {what} pixels")
+    with np.errstate(over="ignore"):
+        ratio = np.maximum(dv / gv, gv / dv)
+        deltas = [100.0 * float((ratio < 1.25**i).mean()) for i in (1, 2, 3)]
+        rep = MetricReport(
+            rel=float(np.mean(np.abs(dv - gv) / gv)),
+            log10=float(np.mean(np.abs(np.log10(dv) - np.log10(gv)))),
+            rms=float(np.sqrt(np.mean((dv - gv) ** 2))),
+            delta1=deltas[0],
+            delta2=deltas[1],
+            delta3=deltas[2],
+            dde=100.0 * float(((dv <= plane_depth) == (gv <= plane_depth)).mean()),
+            pixel_count=int(dv.size),
+        )
+    if overflowed := [key for key, value in vars(rep).items() if not math.isfinite(value)]:
+        raise MetricsError(f"non-finite metric: {', '.join(overflowed)}")
+    return rep

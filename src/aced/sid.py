@@ -17,6 +17,7 @@ from .gradcore import DomainError, Tape, Tensor, _accum
 
 __all__ = [
     "DepthRange",
+    "DEPTH_RANGE",
     "SidThresholds",
     "make_thresholds",
     "depth_to_label",
@@ -37,6 +38,10 @@ class DepthRange:
     def __post_init__(self):
         if not (0.0 < self.alpha < self.beta):
             raise ValueError(f"need 0 < alpha < beta, got [{self.alpha}, {self.beta}]")
+
+
+# The range the bins span and the scenes are drawn from; a checkpoint means it.
+DEPTH_RANGE = DepthRange(0.5, 8.0)
 
 
 @dataclass(frozen=True)

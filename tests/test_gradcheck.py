@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aced import gradcheck, network
+from aced import gradcheck, network, sid
 from aced import gradcore as gc
 from aced.losses import total_loss
 from aced.sid import depth_to_label, encode_rank
@@ -32,7 +32,8 @@ def _model_ops() -> set[str]:
     params = network.init_params(net, gc.Rng(0))
     rng = gc.Rng(1)
     image = gc.Tensor(rng.fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
-    depth = rng.fill_uniform((2, 1, net.height, net.width), cfg.alpha, cfg.beta)
+    depth = rng.fill_uniform((2, 1, net.height, net.width), sid.DEPTH_RANGE.alpha,
+                             sid.DEPTH_RANGE.beta)
     target = encode_rank(depth_to_label(depth, th), cfg.k)
     tape = RecordingTape()
     out = network.forward(tape, image, params, th)

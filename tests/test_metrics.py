@@ -1,4 +1,5 @@
-"""compute_metrics on a hand-computed 2x2 example, and its input checks."""
+"""compute_metrics on a hand-computed 2x2 example, and its input checks: a
+depth map must be finite and positive, and so must every metric."""
 
 import math
 
@@ -48,3 +49,21 @@ def test_non_positive_depth_is_rejected(which, bad):
     (pred if which == "pred" else gt)[0, 0, 1, 0] = bad
     with pytest.raises(MetricsError, match="non-positive depth"):
         compute_metrics(pred, gt)
+
+
+@pytest.mark.parametrize("which", ["pred", "gt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_depth_is_rejected(which, bad):
+    pred, gt = PRED.copy(), GT.copy()
+    (pred if which == "pred" else gt)[0, 0, 1, 0] = bad
+    what = "predicted" if which == "pred" else "ground-truth"
+    with pytest.raises(MetricsError, match=f"^non-finite depth: 1 of 4 {what} pixels$"):
+        compute_metrics(pred, gt)
+
+
+def test_a_metric_that_overflows_is_rejected():
+    # 1e300 is finite, but its squared error is not.
+    pred = PRED.copy()
+    pred[0, 0, 1, 0] = 1e300
+    with pytest.raises(MetricsError, match="^non-finite metric: rms$"):
+        compute_metrics(pred, GT)
