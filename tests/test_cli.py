@@ -1,5 +1,6 @@
 """The command line end to end at the small test config: the gen-data,
-train, eval, infer and render chain; train logs the terms its loss summed;
+train, eval, infer and render chain, whose outputs are pinned by sha256;
+train logs the terms its loss summed;
 ordinal-only training leaves the fusion and refinement untouched; eval
 prints one aggregate per output, pooled from its per-image lines; exit
 code 1 for a usage error, a bad config value, a removed config key, an
@@ -10,6 +11,7 @@ non-finite value or one trained at another k or width, and 2 for a failed
 gradient check or diverged training (naming the partial log); eval's hard
 decode is that of the upsampled head."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -405,6 +407,18 @@ def _printed_paths(out: str) -> list[Path]:
     return [Path(line.split(": ", 1)[-1]) for line in out.splitlines()]
 
 
+# The bytes the chain writes at the test config (seed 3), the same at 1 and 2
+# BLAS threads.
+CHAIN_SHA256 = {
+    "model.ckpt": "9f391f6f989275537cf87124a7d3f114fe8ae45f79da33c519f45affff40855a",
+    "model.ckpt.log.jsonl": "fe6833acf2733384fe5fcb68897b9fac19a7a3c484b3a0a1013c25fed4a25f9d",
+    "metrics.jsonl": "5e77bde7c19fc372e7f72acf8157b9c7bcb03b1388dc878c18975eed66901c37",
+    "out.depth.pgm": "ed9a24bd8636a6c26fdce372589f97ebd9b0766c63536ef45d981b9e748d76fc",
+    "out.conf.pgm": "7d0b3500971941d125b3960b603765f1d973bff6f5ad0eb0b39e0a28069ea97b",
+    "out.vis.ppm": "37068f2958a81483a4a846f5f31460ec9cee5e49ff7b4cadf4770d252848d873",
+}
+
+
 def test_gen_data_train_eval_infer_render_chain(tiny_dataset, tmp_path, capsys):
     cfg, fixture_manifest = tiny_dataset
 
@@ -446,6 +460,12 @@ def test_gen_data_train_eval_infer_render_chain(tiny_dataset, tmp_path, capsys):
     rendered = tmp_path / "render.ppm"
     assert _printed_paths(run("render", str(depth_path), str(rendered))) == [rendered]
     assert rendered.read_bytes() == vis_path.read_bytes()
+
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (ckpt, log, metrics, depth_path, conf_path, vis_path)}
+    assert written == CHAIN_SHA256, (
+        "the chain's outputs moved; re-record CHAIN_SHA256 only in a commit that changes "
+        "nothing else, so that every other commit is shown to keep them bit-identical")
 
 
 def test_infer_rejects_a_size_that_is_not_a_multiple_of_16(tiny_dataset, tmp_path, capsys):
