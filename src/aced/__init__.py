@@ -24,7 +24,6 @@ from .network import NetworkConfig, forward, init_params
 from .ordhead import confidence, expected_label, ordinal_loss, pair_softmax
 from .sid import (
     DepthRange,
-    SidThresholds,
     depth_to_label,
     encode_rank,
     hard_decode,

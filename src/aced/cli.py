@@ -48,7 +48,7 @@ from .gradcore import (
 from .losses import LossWeights, total_loss
 from .metrics import MetricsError, compute_metrics
 from .network import NetworkConfig, forward, init_params
-from .sid import DEPTH_RANGE, depth_to_label, encode_rank, hard_decode, make_thresholds
+from .sid import DEPTH_RANGE, depth_to_label, encode_rank, hard_decode
 
 __all__ = [
     "ConfigError",
@@ -102,9 +102,6 @@ class RunConfig:
 
     def __post_init__(self):
         self.__dict__.update(self.values)
-
-    def thresholds(self):
-        return make_thresholds(DEPTH_RANGE, self.k)
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(
@@ -167,7 +164,7 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir) -> Path:
-    spec = SceneSpec(cfg.seed, cfg.image_h, cfg.image_w, DEPTH_RANGE)
+    spec = SceneSpec(cfg.seed, cfg.image_h, cfg.image_w)
     return generate_dataset(spec, cfg.num_scenes, out_dir)
 
 
@@ -204,7 +201,6 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
     if not pairs:
         raise ConfigError("training split is empty")
     samples = [read_sample(img, dep) for img, dep in pairs]
-    th = cfg.thresholds()
     params = init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
     rng_aug = Rng(derive_seed(cfg.seed, "augment"))
     weights = cfg.loss_weights()
@@ -217,16 +213,17 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
             batch = [augment(samples[(it * cfg.batch_size + j) % n], rng_aug)
                      for j in range(cfg.batch_size)]
             image, depth_gt = _stack_batch(batch)
-            target = encode_rank(depth_to_label(depth_gt, th), cfg.k)
+            target = encode_rank(depth_to_label(depth_gt, cfg.k), cfg.k)
 
             tape = Tape()
-            out = forward(tape, image, params, th)
+            out = forward(tape, image, params)
             loss, parts = total_loss(tape, out.logits, target, out.refined, depth_gt, weights)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericalFailure(
                     f"training diverged: loss {loss_val!r} at iteration {it} "
-                    f"(lr={lr_it}); the log up to it is in {log_path}"
+                    f"(lr={lr_it}); first non-finite output: {tape.first_non_finite()}; "
+                    f"the log up to it is in {log_path}"
                 )
             params.zero_grads()
             backward(loss)
@@ -250,12 +247,12 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     Returns {output_kind: aggregate dict}.
 
     A pair that cannot be scored (a non-positive depth) is skipped, and so
-    is the aggregate of its output kind; the rest is still written, then a
-    MetricsError names the first failure and counts them all."""
+    is the aggregate of its output kind, as is an aggregate whose pooled sums
+    overflow; the rest is still written, then a MetricsError names the first
+    failure and counts the failed pairs."""
     pairs = _split_pairs(cfg, read_manifest(manifest_path), split)
     if not pairs:
         raise ConfigError(f"split {split!r} of {manifest_path} is empty")
-    th = cfg.thresholds()
     params = _load_model(cfg, checkpoint)
 
     lines, failures = [], []
@@ -264,8 +261,8 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         name = Path(img_path).name
         sample = read_sample(img_path, dep_path)
         image, depth_gt = _stack_batch([sample])
-        out = forward(None, image, params, th)
-        hard = Tensor(hard_decode(out.probs, th))  # at the head's resolution
+        out = forward(None, image, params)
+        hard = Tensor(hard_decode(out.probs))  # at the head's resolution
         decoded = {
             "coarse": out.coarse.data,
             "refined": out.refined.data,
@@ -286,13 +283,17 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
                     value = value**2  # pooled as the root of the mean square
                 agg[key] += n if key == "pixel_count" else value * n
 
-    aggregates = {}
+    aggregates, failed_pairs = {}, len(failures)
     for kind, agg in sums.items():
         if any(kind == failed for failed, _ in failures):
             continue
         n = agg["pixel_count"]
         rec = {"output": kind, "aggregate": True, **{key: total / n for key, total in agg.items()},
                "rms": float(np.sqrt(agg["rms"] / n)), "pixel_count": n}
+        overflow = next((key for key in agg if not np.isfinite(rec[key])), None)
+        if overflow:  # every image scored, but the pooled sum did not fit a float
+            failures.append((kind, f"{kind} aggregate: non-finite metric: {overflow}"))
+            continue
         lines.append(rec)
         aggregates[kind] = rec
 
@@ -301,7 +302,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
             for line in lines:
                 f.write(json.dumps(line) + "\n")
     if failures:
-        raise MetricsError(f"{failures[0][1]} ({len(failures)} of "
+        raise MetricsError(f"{failures[0][1]} ({failed_pairs} of "
                            f"{len(pairs) * len(decoded)} (image, output) pairs failed)")
     return aggregates
 
@@ -315,9 +316,8 @@ def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, P
     _, h, w = image_arr.shape
     if h % 16 or w % 16:
         raise ConfigError(f"{image_path}: dimensions ({h}x{w}) must be multiples of 16")
-    th = cfg.thresholds()
     params = _load_model(cfg, checkpoint)
-    out = forward(None, Tensor(image_arr[None]), params, th)
+    out = forward(None, Tensor(image_arr[None]), params)
     depth = out.refined.data[0]
     for fault, bad in (("non-finite", ~np.isfinite(depth)), ("non-positive", depth <= 0)):
         if bad.any():

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .gradcore import Rng, derive_seed
-from .sid import DepthRange
+from .sid import DEPTH_RANGE
 
 __all__ = [
     "NetpbmError",
@@ -56,12 +56,12 @@ class MissingScaleError(NetpbmError):
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything that determines a dataset; (seed, index) fixes one sample."""
+    """Everything that determines a dataset; (seed, index) fixes one sample.
+    Every depth lies in sid.DEPTH_RANGE."""
 
     seed: int
     height: int
     width: int
-    depth_range: DepthRange
 
 
 _SHAPES = ("rect", "ellipse")
@@ -83,7 +83,7 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
     and every image value in [0, 1]."""
     rng = Rng(derive_seed(spec.seed, "scene", index))
     h, w = spec.height, spec.width
-    alpha, beta = spec.depth_range.alpha, spec.depth_range.beta
+    alpha, beta = DEPTH_RANGE
 
     rows = alpha + (beta - alpha) * (np.arange(h) / max(h - 1, 1))
     depth = np.broadcast_to(rows.reshape(1, h, 1), (1, h, w)).copy()
@@ -259,7 +259,8 @@ def read_ppm(path) -> np.ndarray:
 
 
 def read_pgm16(path) -> tuple[np.ndarray, float]:
-    """Returns ((1,H,W) values in meters, scale)."""
+    """Returns ((1,H,W) values in meters, scale); the scale must be finite
+    and positive."""
     raw, comments = _read_netpbm(path, "P5", 65535, ">u2", 1)
     scale = None
     for comment in comments:
@@ -268,7 +269,10 @@ def read_pgm16(path) -> tuple[np.ndarray, float]:
             try:
                 scale = float(parts[1])
             except ValueError:
-                raise MalformedHeaderError(f"{path}: bad scale {parts[1]!r}") from None
+                scale = np.nan
+            if not 0.0 < scale < np.inf:  # false for NaN too
+                raise MalformedHeaderError(f"{path}: bad scale {parts[1]!r}, "
+                                           "need a finite positive number")
     if scale is None:
         raise MissingScaleError(f"{path}: no '# scale <s>' comment")
     return raw.astype(np.float64) * scale, scale
@@ -317,7 +321,7 @@ def generate_dataset(spec: SceneSpec, count: int, out_dir) -> Path:
         img_name = f"scene_{i:05d}.ppm"
         dep_name = f"scene_{i:05d}.pgm"
         write_ppm(out / img_name, sample.image)
-        write_pgm16(out / dep_name, sample.depth, spec.depth_range.beta / 65535.0)
+        write_pgm16(out / dep_name, sample.depth, DEPTH_RANGE.beta / 65535.0)
         pairs.append((img_name, dep_name))
     manifest = out / "manifest.txt"
     write_manifest(manifest, pairs)

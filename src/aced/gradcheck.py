@@ -190,7 +190,6 @@ def _check_composed_network(rng, k=4):
     input size (spatial dims must be multiples of 16)."""
     config = network.NetworkConfig(k_levels=k, height=16, width=16,
                                    base_width=2, fusion_width=4)
-    th = sid.make_thresholds(sid.DEPTH_RANGE, k)
     params = network.init_params(config, rng.spawn("init"))
     image = gc.Tensor(rng.fill_uniform((1, 3, 16, 16), 0.0, 1.0))
     gt = rng.fill_uniform((1, 1, 16, 16), 0.6, 7.5)
@@ -198,13 +197,11 @@ def _check_composed_network(rng, k=4):
     weights = losses.LossWeights()
 
     def build(tape):
-        out = network.forward(tape, image, params, th)
+        out = network.forward(tape, image, params)
         return losses.total_loss(tape, out.logits, target, out.refined, gt, weights)[0]
 
     return build, [t for _, t in params.items()]
 
-
-_TH5 = sid.make_thresholds(sid.DEPTH_RANGE, 5)
 
 _COMPONENTS = [
     ("conv2d_stride1", _conv(1, 1, 3), PRIMITIVE_TOL),
@@ -227,8 +224,8 @@ _COMPONENTS = [
     ("ordinal_loss", _check_ordinal_loss, PRIMITIVE_TOL),
     ("confidence", _probed(_confidence_of_logits, [(1, 8, 4, 4)], -2.0, 2.0), PRIMITIVE_TOL),
     ("label_to_depth",
-     _probed(lambda tape, p: sid.label_to_depth_op(tape, p, _TH5), [(1, 1, 4, 4)],
-             0.0, float(_TH5.k_levels)), PRIMITIVE_TOL),
+     _probed(lambda tape, p: sid.label_to_depth_op(tape, p, 5), [(1, 1, 4, 4)], 0.0, 5.0),
+     PRIMITIVE_TOL),
     ("loss_log", _depth_loss(losses.loss_log), PRIMITIVE_TOL),
     ("loss_grad", _depth_loss(losses.loss_grad), PRIMITIVE_TOL),
     ("composed_network_16x16", _check_composed_network, COMPOSED_TOL),

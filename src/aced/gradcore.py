@@ -201,7 +201,7 @@ class Tape:
     """
 
     def __init__(self, fault_op: str | None = None):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []  # (output, rule)
+        self._nodes: list[tuple[str, Tensor, Callable[[np.ndarray], None]]] = []  # (name, output, rule)
         self._done = False
         self._fault_op = fault_op
 
@@ -224,10 +224,15 @@ class Tape:
 
         output.needs_grad = True
         output.tape = self
-        self._nodes.append((output, backward_fn))
+        self._nodes.append((name, output, backward_fn))
 
-    def __len__(self) -> int:
-        return len(self._nodes)
+    def first_non_finite(self) -> str | None:
+        """'<op>, tape node i of n' for the first node, in record order, whose
+        output holds a NaN or an infinity (i counts from 0, the first node
+        recorded); None if there is none."""
+        for i, (name, output, _) in enumerate(self._nodes):
+            if not np.isfinite(output.data).all():
+                return f"{name}, tape node {i} of {len(self._nodes)}"
 
 
 def _accum(t: Tensor, g) -> None:
@@ -258,7 +263,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:
-        output, rule = nodes.pop()
+        _, output, rule = nodes.pop()
         g = output.grad
         if g is not None:
             rule(g)

@@ -37,7 +37,7 @@ from .gradcore import (
     upsample_nearest,
 )
 from .ordhead import confidence, expected_label, pair_softmax
-from .sid import SidThresholds, label_to_depth_op
+from .sid import label_to_depth_op
 
 __all__ = [
     "IMAGE_CHANNELS",
@@ -197,7 +197,7 @@ def refine(tape: Tape | None, coarse: Tensor, coarse_half: Tensor, conf_half: Te
     return add(tape, coarse, residual)
 
 
-def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresholds) -> ForwardResult:
+def forward(tape: Tape | None, image: Tensor, params: ParamStore) -> ForwardResult:
     """One pass: encode, decode to rank logits, then at their half resolution
     the probabilities, the soft-decoded coarse depth and the confidence; fuse
     multiscale features to half resolution too, and refine from those three
@@ -205,13 +205,13 @@ def forward(tape: Tape | None, image: Tensor, params: ParamStore, th: SidThresho
     for the result (the coarse depth is also what refine adds to).
 
     Every shape follows from `image` and the parameter shapes in `params`
-    (see `init_params`); `th` are the SID thresholds that map the expected
-    label to depth."""
+    (see `init_params`); the head's K-1 classifiers fix the K SID bins that
+    map the expected label to depth."""
     feats = encode(tape, image, params)
     logits = decode_to_logits(tape, feats, params)
     probs = pair_softmax(tape, logits)
     p = expected_label(tape, probs)
-    coarse_half = label_to_depth_op(tape, p, th)
+    coarse_half = label_to_depth_op(tape, p, probs.shape[1] + 1)
     conf_half = confidence(tape, probs, p)
     coarse = upsample_nearest(tape, coarse_half, 2)
     conf = upsample_nearest(tape, conf_half, 2)

@@ -1,15 +1,16 @@
-"""Spacing-increasing discretization of a metric depth range.
+"""Spacing-increasing discretization of the metric depth range.
 
-The range [alpha, beta] is split into K bins uniform in log space, so far
-bins are wider than near ones. Depths map to integer labels, labels map
-back to depths (continuously, so the mapping can sit on the tape), and
-labels expand to cumulative binary rank vectors.
+The range [alpha, beta] = DEPTH_RANGE is split into K bins uniform in log
+space, so far bins are wider than near ones; K is the only free parameter,
+and a model's head fixes it (2(K-1) logit channels). Depths map to integer
+labels, labels map back to depths (continuously, so the mapping can sit on
+the tape), and labels expand to cumulative binary rank vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .gradcore import DomainError, Tape, Tensor, _accum
 __all__ = [
     "DepthRange",
     "DEPTH_RANGE",
-    "SidThresholds",
+    "log_ratio",
     "make_thresholds",
     "depth_to_label",
     "label_to_depth",
@@ -28,78 +29,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DepthRange:
-    """Valid metric depth interval [alpha, beta] in meters."""
+class DepthRange(NamedTuple):
+    """Metric depth interval [alpha, beta] in meters."""
 
     alpha: float
     beta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < self.beta):
-            raise ValueError(f"need 0 < alpha < beta, got [{self.alpha}, {self.beta}]")
 
 
 # The range the bins span and the scenes are drawn from; a checkpoint means it.
 DEPTH_RANGE = DepthRange(0.5, 8.0)
 
 
-@dataclass(frozen=True)
-class SidThresholds:
-    """K+1 geometric thresholds t_0..t_K with t_0=alpha and t_K=beta."""
-
-    range: DepthRange
-    k_levels: int
-    thresholds: np.ndarray = field(repr=False)
-
-    @property
-    def log_ratio(self) -> float:
-        """log(beta/alpha) / K, the constant log-spacing between thresholds."""
-        return math.log(self.range.beta / self.range.alpha) / self.k_levels
+def log_ratio(k: int) -> float:
+    """log(beta/alpha) / K, the constant log-spacing between thresholds."""
+    return math.log(DEPTH_RANGE.beta / DEPTH_RANGE.alpha) / k
 
 
-def make_thresholds(range_: DepthRange, k_levels: int) -> SidThresholds:
-    """Thresholds t_i = exp(log(alpha) + i*log(beta/alpha)/K), i in [0, K].
-
-    Evaluated as alpha * exp(i * spacing) -- the exact expression
-    label_to_depth uses -- so decoding an integer label reproduces the
-    matching threshold bit for bit.
-    """
-    if k_levels < 2:
-        raise ValueError(f"need at least 2 levels, got {k_levels}")
-    i = np.arange(k_levels + 1, dtype=np.float64)
-    t = range_.alpha * np.exp(i * (math.log(range_.beta / range_.alpha) / k_levels))
-    return SidThresholds(range=range_, k_levels=k_levels, thresholds=t)
+def make_thresholds(k: int) -> np.ndarray:
+    """The K+1 thresholds t_i = alpha * exp(i * log(beta/alpha)/K), i in [0, K],
+    so t_0 = alpha and t_K = beta. They are the decode of the integer labels,
+    so label_to_depth(i, K) is t_i bit for bit."""
+    if k < 2:
+        raise ValueError(f"need at least 2 levels, got {k}")
+    return label_to_depth(np.arange(k + 1), k)
 
 
-def depth_to_label(depth, th: SidThresholds):
+def depth_to_label(depth, k: int):
     """Smallest l with depth <= t_{l+1}; clamps below alpha to 0, above beta to K-1."""
     arr = np.asarray(depth, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise DomainError("depth_to_label: depths must be positive")
-    idx = np.searchsorted(th.thresholds, arr, side="left") - 1
-    labels = np.clip(idx, 0, th.k_levels - 1).astype(np.int64)
+    idx = np.searchsorted(make_thresholds(k), arr, side="left") - 1
+    labels = np.clip(idx, 0, k - 1).astype(np.int64)
     return labels if arr.ndim else int(labels)
 
 
-def label_to_depth(p, th: SidThresholds):
+def label_to_depth(p, k: int):
     """Continuous inverse of the discretization: alpha * exp(p * log(beta/alpha)/K).
 
     p=0 gives alpha and p=K gives beta; p outside [0, K] extrapolates along
     the same exponential, so the depth stays positive and the gradient
     nonzero. The expected label of the ordinal head lies in [0, K-1].
     """
-    out = th.range.alpha * np.exp(np.asarray(p, dtype=np.float64) * th.log_ratio)
+    out = DEPTH_RANGE.alpha * np.exp(np.asarray(p, dtype=np.float64) * log_ratio(k))
     return out if out.ndim else float(out)
 
 
-def label_to_depth_op(tape: Tape | None, p: Tensor, th: SidThresholds) -> Tensor:
+def label_to_depth_op(tape: Tape | None, p: Tensor, k: int) -> Tensor:
     """Tape version of label_to_depth; d(depth)/dp = depth * log(beta/alpha)/K."""
-    out_data = label_to_depth(p.data, th)
+    out_data = label_to_depth(p.data, k)
     out = Tensor(out_data)
     if tape is not None and p.needs_grad:
         def bwd(g):
-            _accum(p, g * out_data * th.log_ratio)
+            _accum(p, g * out_data * log_ratio(k))
         tape.record("label_to_depth", (p,), out, bwd)
     return out
 
@@ -117,13 +99,14 @@ def encode_rank(labels, k_levels: int) -> np.ndarray:
     return (ks < lab).astype(np.float64)
 
 
-def hard_decode(probs, th: SidThresholds) -> np.ndarray:
-    """Threshold-and-count decode: binarize at 0.5, count the 1s, output the
-    bin midpoint (t_c + t_{c+1})/2. Not differentiable; baseline/oracle only.
+def hard_decode(probs) -> np.ndarray:
+    """Threshold-and-count decode of (B, K-1, H, W) probabilities: binarize
+    at 0.5, count the 1s, output the bin midpoint (t_c + t_{c+1})/2. Not
+    differentiable; baseline/oracle only.
     """
     arr = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise DomainError("hard_decode: probabilities must lie in [0, 1]")
     c = (arr > 0.5).sum(axis=1, keepdims=True)
-    t = th.thresholds
+    t = make_thresholds(arr.shape[1] + 1)
     return (t[c] + t[c + 1]) / 2.0

@@ -3,13 +3,15 @@ train, eval, infer and render chain, whose outputs are pinned by sha256;
 train logs the terms its loss summed;
 ordinal-only training leaves the fusion and refinement untouched; eval
 prints one aggregate per output, pooled from its per-image lines; exit
-code 1 for a usage error, a bad config value, a removed config key, an
-eval output with non-positive depth or non-finite metrics (naming the image
-and the output, after writing every pair that scored), an infer output with
-non-positive or non-finite depth (writing no file), a checkpoint with a
-non-finite value or one trained at another k or width, and 2 for a failed
-gradient check or diverged training (naming the partial log); eval's hard
-decode is that of the upsampled head."""
+code 1 for a usage error, a bad config value, a removed config key, a
+depth map whose scale is not finite and positive, an eval output with
+non-positive depth or non-finite metrics (naming the image and the output,
+after writing every pair that scored) or an aggregate that overflows, an
+infer output with non-positive or non-finite depth (writing no file), a
+checkpoint with a non-finite value or one trained at another k or width,
+and 2 for a failed gradient check or diverged training (naming the first
+non-finite tape node and the partial log); eval's hard decode is that of
+the upsampled head."""
 
 import hashlib
 import json
@@ -138,11 +140,10 @@ def test_eval_hard_decode_is_the_hard_decode_of_the_upsampled_head(tiny_dataset,
     cli.cmd_eval(cfg, ckpt, manifest)
     pairs = cli._split_pairs(cfg, read_manifest(manifest), "holdout")
     assert len(calls) == 3 * len(pairs)  # coarse, refined, hard per image
-    th = cfg.thresholds()
     for (img_path, _), got in zip(pairs, calls[2::3]):
-        out = network.forward(None, Tensor(read_ppm(img_path)[None]), params, th)
+        out = network.forward(None, Tensor(read_ppm(img_path)[None]), params)
         probs = pair_softmax(None, upsample_nearest(None, out.logits, 2))
-        np.testing.assert_array_equal(got, hard_decode(probs, th))
+        np.testing.assert_array_equal(got, hard_decode(probs))
 
 
 def test_eval_names_the_image_and_output_with_non_positive_depth(tiny_dataset, tmp_path, capsys):
@@ -243,22 +244,45 @@ def test_infer_refuses_a_non_finite_refined_depth(tiny_dataset, tmp_path, capsys
 def test_eval_writes_no_infinity_for_an_overflowing_metric(tiny_dataset, tmp_path, capsys):
     # A refine weight of 1e300 gives finite refined depths of about 3e300 m,
     # whose squared error overflows; the rms would be written as Infinity.
+    # A refine bias of 5e152 gives an rms of about 5e152 per image, which
+    # fits, but the pooled sum of rms**2 over the split does not.
     cfg, manifest = tiny_dataset
-    params = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
-    params["refine.conv2.w"].data[...] = 1e300
-    ckpt = tmp_path / "huge.ckpt"
-    save_checkpoint(params, ckpt)
-    out = tmp_path / "metrics.jsonl"
-    assert cli.main(["eval", *_sets(), str(ckpt), str(manifest), "--out", str(out)]) == 1
-    assert ("scene_00012.ppm, refined output: non-finite metric: rms (4 of 12 (image, output) "
-            "pairs failed)" in capsys.readouterr().err)
 
     def no_constant(name):
         raise AssertionError(f"{name} is not JSON")
 
-    lines = [json.loads(line, parse_constant=no_constant) for line in out.read_text().splitlines()]
-    assert [rec["output"] for rec in lines if rec.get("aggregate")] == ["coarse", "hard"]
-    assert not any(rec["output"] == "refined" for rec in lines)
+    cases = [("refine.conv2.w", 1e300, 0, "scene_00012.ppm, refined output: non-finite metric: "
+                                          "rms (4 of 12 (image, output) pairs failed)"),
+             ("refine.conv2.b", 5e152, 4, "refined aggregate: non-finite metric: rms "
+                                          "(0 of 12 (image, output) pairs failed)")]
+    for name, value, refined_lines, message in cases:
+        params = network.init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
+        params[name].data[...] = value
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(params, ckpt)
+        out = tmp_path / "metrics.jsonl"
+        capsys.readouterr()
+        assert cli.main(["eval", *_sets(), str(ckpt), str(manifest), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        lines = [json.loads(line, parse_constant=no_constant)
+                 for line in out.read_text().splitlines()]
+        assert [rec["output"] for rec in lines if rec.get("aggregate")] == ["coarse", "hard"]
+        assert sum(rec["output"] == "refined" for rec in lines) == refined_lines
+
+
+def test_train_on_a_depth_map_with_a_bad_scale_is_a_usage_error(tiny_dataset, tmp_path, capsys):
+    cfg, manifest = tiny_dataset
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in manifest.parent.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    bad = data / "scene_00000.pgm"
+    head, _, rest = bad.read_bytes().partition(b"\n# scale ")
+    bad.write_bytes(head + b"\n# scale nan" + rest[rest.index(b"\n"):])
+    ckpt = tmp_path / "never.ckpt"
+    assert cli.main(["train", *_sets(), str(data / "manifest.txt"), str(ckpt)]) == 1
+    assert f"error: {bad}: bad scale 'nan'" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_a_checkpoint_trained_at_another_width_is_rejected(tiny_dataset, tmp_path, capsys):
@@ -354,6 +378,8 @@ def test_diverged_training_exits_2(tiny_dataset, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2, done.stderr
     assert "training diverged: loss nan at iteration 1" in done.stderr
+    # The loss is checked before backward, so every node is still on the tape.
+    assert "first non-finite output: conv2d, tape node 4 of 77" in done.stderr
     assert "Traceback" not in done.stderr
     assert not ckpt.exists()
     log = Path(f"{ckpt}.log.jsonl")

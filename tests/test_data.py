@@ -20,13 +20,11 @@ from aced.data import (
     write_ppm,
 )
 from aced.gradcore import Rng
-from aced.sid import DepthRange
-
-RANGE = DepthRange(0.5, 8.0)
+from aced.sid import DEPTH_RANGE
 
 
 def _spec(seed=5):
-    return SceneSpec(seed=seed, height=16, width=32, depth_range=RANGE)
+    return SceneSpec(seed=seed, height=16, width=32)
 
 
 def _write(tmp_path, name, data: bytes):
@@ -42,7 +40,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(read_ppm(tmp_path / "a.ppm"), image)
 
     def test_pgm16(self, tmp_path):
-        scale = RANGE.beta / 65535.0
+        scale = DEPTH_RANGE.beta / 65535.0
         values = (np.arange(4 * 5) * 3001 % 65536).reshape(1, 4, 5) * scale
         write_pgm16(tmp_path / "a.pgm", values, scale)
         got, got_scale = read_pgm16(tmp_path / "a.pgm")
@@ -86,6 +84,12 @@ class TestFormatErrors:
         with pytest.raises(MissingScaleError):
             read_pgm16(path)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "one"])
+    def test_scale_that_is_not_finite_and_positive(self, tmp_path, scale):
+        path = _write(tmp_path, "a.pgm", f"P5\n# scale {scale}\n1 1\n65535\n".encode() + bytes(2))
+        with pytest.raises(MalformedHeaderError, match=f"^{path}: bad scale '{scale}'"):
+            read_pgm16(path)
+
 
 class TestGenerateScene:
     def test_deterministic_in_seed_and_index(self):
@@ -100,7 +104,7 @@ class TestGenerateScene:
     def test_depth_and_image_ranges(self, index):
         s = generate_scene(_spec(), index)
         assert s.image.shape == (3, 16, 32) and s.depth.shape == (1, 16, 32)
-        assert RANGE.alpha <= s.depth.min() and s.depth.max() <= RANGE.beta
+        assert DEPTH_RANGE.alpha <= s.depth.min() and s.depth.max() <= DEPTH_RANGE.beta
         assert 0.0 <= s.image.min() and s.image.max() <= 1.0
 
 

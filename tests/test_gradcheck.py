@@ -28,15 +28,14 @@ def _model_ops() -> set[str]:
     """Op names of one training step's forward and loss at the test config."""
     cfg = tiny_config()
     net = cfg.network_config()
-    th = cfg.thresholds()
     params = network.init_params(net, gc.Rng(0))
     rng = gc.Rng(1)
     image = gc.Tensor(rng.fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
     depth = rng.fill_uniform((2, 1, net.height, net.width), sid.DEPTH_RANGE.alpha,
                              sid.DEPTH_RANGE.beta)
-    target = encode_rank(depth_to_label(depth, th), cfg.k)
+    target = encode_rank(depth_to_label(depth, cfg.k), cfg.k)
     tape = RecordingTape()
-    out = network.forward(tape, image, params, th)
+    out = network.forward(tape, image, params)
     total_loss(tape, out.logits, target, out.refined, depth, cfg.loss_weights())
     return set(tape.names)
 

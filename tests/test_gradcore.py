@@ -282,7 +282,7 @@ def conv_calls(sets, batch):
 
     network.conv2d, network.slice_channels = spy, slice_spy
     shape = (batch or cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width)
-    network.forward(None, gc.Tensor(gc.Rng(1).fill_uniform(shape)), params, cfg.thresholds())
+    network.forward(None, gc.Tensor(gc.Rng(1).fill_uniform(shape)), params)
     network.conv2d, network.slice_channels = real, real_slice
     return calls
 
@@ -464,9 +464,9 @@ class TestBackward:
         x = t4(np.ones((1, 1, 2, 2)), requires_grad=True)
         tape = gc.Tape()
         loss = sum_all(tape, gc.relu(tape, x))
-        assert len(tape) > 0
+        assert len(tape._nodes) > 0
         gc.backward(loss)
-        assert len(tape) == 0
+        assert len(tape._nodes) == 0
         with pytest.raises(gc.TapeError, match="new Tape"):
             gc.backward(loss)
 
@@ -504,7 +504,7 @@ class TestBackward:
         pygc.disable()
         try:
             tape = gc.Tape()
-            out = network.forward(tape, image, params, cfg.thresholds())
+            out = network.forward(tape, image, params)
             loss = sum_all(tape, out.refined)
             gc.backward(loss)
             dead_tape, dead_loss = weakref.ref(tape), weakref.ref(loss.data)

@@ -77,7 +77,7 @@ def test_fusion_blocks_run_at_native_scale(monkeypatch):
     # half-resolution maps it upsamples itself.
     seen.clear()
     image = gc.Tensor(gc.Rng(7).fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
-    network.forward(None, image, params, tiny_config().thresholds())
+    network.forward(None, image, params)
     full = {name for name, shape in seen.items() if shape[2:] == (net.height, net.width)}
     assert full == {"enc1.conv1", "refine.conv2"}
     assert seen["refine.conv1"] == (2, net.fusion_width + 2, net.height // 2, net.width // 2)
@@ -132,15 +132,17 @@ def test_refine_is_the_full_resolution_conv_of_the_upsampled_maps():
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
 
 
-def test_head_at_half_resolution_is_the_head_of_the_upsampled_logits():
-    net, params, _ = _tiny_model()
-    th = tiny_config().thresholds()
+@pytest.mark.parametrize("k", [4, 6])
+def test_head_at_half_resolution_is_the_head_of_the_upsampled_logits(k):
+    # forward takes its K SID bins from the head's channel count.
+    net = tiny_config(extra=[f"k={k}"]).network_config()
+    params = network.init_params(net, gc.Rng(0))
     image = gc.Tensor(gc.Rng(7).fill_uniform((2, network.IMAGE_CHANNELS, net.height, net.width)))
-    out = network.forward(None, image, params, th)
-    assert out.logits.shape[2:] == (net.height // 2, net.width // 2)
+    out = network.forward(None, image, params)
+    assert out.logits.shape[1:] == (2 * (k - 1), net.height // 2, net.width // 2)
     probs = pair_softmax(None, gc.upsample_nearest(None, out.logits, 2))
     p = expected_label(None, probs)
-    np.testing.assert_array_equal(out.coarse.data, label_to_depth_op(None, p, th).data)
+    np.testing.assert_array_equal(out.coarse.data, label_to_depth_op(None, p, k).data)
     np.testing.assert_array_equal(out.confidence.data, confidence(None, probs, p).data)
 
 

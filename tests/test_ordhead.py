@@ -16,9 +16,7 @@ from aced.ordhead import (
     ordinal_loss,
     pair_softmax,
 )
-from aced.sid import DepthRange, encode_rank, hard_decode, label_to_depth_op, make_thresholds
-
-TH4 = make_thresholds(DepthRange(0.5, 8.0), 4)
+from aced.sid import DEPTH_RANGE, encode_rank, hard_decode, label_to_depth_op, make_thresholds
 
 
 def probs_tensor(vec) -> gc.Tensor:
@@ -230,9 +228,9 @@ class TestExpectedLabel:
                 c = int((np.asarray(bits) > 0.5).sum())
                 assert p == float(c) == float(l)
                 # and both decodes land at the same threshold index
-                th = make_thresholds(DepthRange(0.5, 8.0), k)
-                hard = hard_decode(probs, th)[0, 0, 0, 0]
-                assert th.thresholds[c] < hard < th.thresholds[c + 1]
+                t = make_thresholds(k)
+                hard = hard_decode(probs)[0, 0, 0, 0]
+                assert t[c] < hard < t[c + 1]
 
     def test_strictly_monotone_in_each_probability(self):
         base = probs_tensor([0.3, 0.6, 0.1])
@@ -320,7 +318,7 @@ class TestConfidence:
 def soft_decode(tape, probs):
     """Coarse depth the way network.forward decodes it: the expected label
     through the continuous inverse discretization."""
-    return label_to_depth_op(tape, expected_label(tape, probs), TH4)
+    return label_to_depth_op(tape, expected_label(tape, probs), probs.shape[1] + 1)
 
 
 class TestSoftDecode:
@@ -328,7 +326,7 @@ class TestSoftDecode:
         for l in range(4):
             bits = encode_rank(np.full((1, 1, 1, 1), l, dtype=np.int64), 4)
             out = soft_decode(None, gc.Tensor(bits))
-            assert out.item() == TH4.thresholds[l]
+            assert out.item() == make_thresholds(4)[l]
 
     def test_all_half_k4(self):
         probs = gc.Tensor(np.full((1, 3, 1, 1), 0.5))
@@ -355,4 +353,4 @@ class TestSoftDecode:
     @settings(max_examples=100)
     def test_decoded_depth_always_inside_range(self, vec):
         d = soft_decode(None, probs_tensor(vec)).item()
-        assert TH4.range.alpha <= d <= TH4.range.beta
+        assert DEPTH_RANGE.alpha <= d <= DEPTH_RANGE.beta
