@@ -464,25 +464,24 @@ def conv2d(
     n = -(-grid // 16) * 16
     span = (kh - 1) * wp + (kw - 1)
     wd = weight.data
-    # Each phase is the index of the output pixels it writes and its taps,
-    # each tap an (oc, c) weight matrix and the offset of its view.
+    # Each phase is the index of the output pixels it writes, its (ti, tj,
+    # oc, c) tap weights and the buffer offset of its tap (0, 0).
     if u == 1:
-        phases = [(..., [(wd[:, :, i, j], i * wp + j) for i in range(kh) for j in range(kw)])]
+        phases = [(..., np.ascontiguousarray(wd.transpose(2, 3, 0, 1)), 0)]
     else:
         wt = (_UP2_TAPS @ wd.reshape(oc * c, 9).T).reshape(2, 2, 2, 2, oc, c)
-        phases = [(np.s_[:, :, a::2, e::2],
-                   [(wt[a, e, d, f], (a + d) * wp + e + f) for d in (0, 1) for f in (0, 1)])
-                  for a in (0, 1) for e in (0, 1)]
+        phases = [(np.s_[:, :, a::2, e::2], wt[a, e], a * wp + e) for a in (0, 1) for e in (0, 1)]
 
     xf = np.zeros((c, n + span))
     xf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
-    y = np.empty((oc, n))
+
+    def taps(wk, base):  # (ti, tj, c, n) view of xf; tap (i, j) is xf[:, base+i*wp+j:][:, :n]
+        return np.ndarray((*wk.shape[:2], c, n), buffer=xf, offset=8 * base,
+                          strides=(8 * wp, 8, 8 * (n + span), 8))
+
     out_data = np.empty((b, oc, u * gh, u * gw))
-    for pix, taps in phases:
-        w0, off0 = taps[0]
-        np.matmul(w0, xf[:, off0:off0 + n], out=y)
-        for wk, off in taps[1:]:
-            y += wk @ xf[:, off:off + n]
+    for pix, wk, base in phases:
+        y = np.matmul(wk, taps(wk, base)).reshape(-1, oc, n).sum(0)
         # Add into the output; a plain `+` would keep y's (oc, b) order.
         kept = y[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s]
         np.add(kept.transpose(1, 0, 2, 3), bias.data, out=out_data[pix])
@@ -494,22 +493,23 @@ def conv2d(
             want_w, want_x = weight.needs_grad, x.needs_grad
             gf = np.zeros((oc, n))
             if want_w:
-                dwt = np.empty((len(phases), len(phases[0][1]), oc, c))
+                dwt = np.empty((len(phases), *phases[0][1].shape))
             if want_x:
                 dxf = np.empty((c, n + span))
                 dxf[:, n:] = 0.0
             # With one output channel each dx tap's product has K=1: a
             # broadcast multiply gives the GEMM's bits without its overhead.
             dot = np.multiply if oc == 1 else np.matmul
-            for k, (pix, taps) in enumerate(phases):
+            for k, (pix, wk, base) in enumerate(phases):
                 gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
-                for t, (wk, off) in enumerate(taps):
-                    if want_w:
-                        dwt[k, t] = gf @ xf[:, off:off + n].T
-                    if want_x and off == 0:  # the first tap writes dxf, the rest add
-                        dot(wk.T, gf, out=dxf[:, :n])
-                    elif want_x:
-                        dxf[:, off:off + n] += dot(wk.T, gf)
+                if want_w:
+                    np.matmul(gf, taps(wk, base).transpose(0, 1, 3, 2), out=dwt[k])
+                for i, j in np.ndindex(*wk.shape[:2]) if want_x else ():
+                    off = base + i * wp + j
+                    if off == 0:  # the first tap writes dxf, the rest add
+                        dot(wk[i, j].T, gf, out=dxf[:, :n])
+                    else:
+                        dxf[:, off:off + n] += dot(wk[i, j].T, gf)
             if want_w:
                 if u == 1:
                     _accum(weight, dwt.reshape(kh, kw, oc, c).transpose(2, 3, 0, 1))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aced import cli, network
 from aced import gradcore as gc
 from aced.gradcheck import PRIMITIVE_TOL, check_gradients, project, run_full_suite
 from aced.ordhead import pair_softmax
@@ -243,6 +244,80 @@ class TestConv2dReference:
         gc.backward(sum_all(tape, out))
         np.testing.assert_array_equal(x.grad[0, 0, 7], np.zeros(5))
         assert x.grad[0, 0, 6].sum() > 0
+
+
+def per_tap_conv2d(x, w, b, g, stride, padding, upsample):
+    """conv2d's output, dx and dW for an upstream gradient g, one GEMM per
+    kernel tap on conv2d's own flat padded buffer (the same GEMM shapes, so
+    the same bits): y = sum_t W_t @ view_t in tap order, dW_t = g @ view_t.T
+    and dx += W_t.T @ g at each view. upsample=2 runs the four 2x2 phase
+    convs of the folded kernel."""
+    bsz, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    p, s = padding, stride
+    hp, wp = h + 2 * p, wd + 2 * p
+    gh, gw = (hp - kh) // s + 1, (wp - kw) // s + 1
+    grid = bsz * hp * wp
+    n = -(-grid // 16) * 16
+    xf = np.zeros((c, n + (kh - 1) * wp + kw - 1))
+    xf[:, :grid].reshape(c, bsz, hp, wp)[:, :, p:p + h, p:p + wd] = x.transpose(1, 0, 2, 3)
+    if upsample == 1:
+        phases = [(..., [(w[:, :, i, j], i * wp + j) for i in range(kh) for j in range(kw)])]
+    else:
+        wt = (gc._UP2_TAPS @ w.reshape(oc * c, 9).T).reshape(2, 2, 2, 2, oc, c)
+        phases = [(np.s_[:, :, a::2, e::2],
+                   [(wt[a, e, d, f], (a + d) * wp + e + f) for d in (0, 1) for f in (0, 1)])
+                  for a in (0, 1) for e in (0, 1)]
+    out = np.empty(g.shape)
+    dxf, dws = np.zeros_like(xf), []
+    for pix, taps in phases:
+        (w0, off0), *rest = taps
+        y = w0 @ xf[:, off0:off0 + n]
+        for wk, off in rest:
+            y = y + wk @ xf[:, off:off + n]
+        out[pix] = y[:, :grid].reshape(oc, bsz, hp, wp)[:, :, :s * gh:s, :s * gw:s].transpose(1, 0, 2, 3) + b
+        gf = np.zeros((oc, n))
+        gf[:, :grid].reshape(oc, bsz, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
+        for wk, off in taps:
+            dws.append(gf @ xf[:, off:off + n].T)
+            dxf[:, off:off + n] += wk.T @ gf
+    if upsample == 1:
+        dw = np.array(dws).reshape(kh, kw, oc, c).transpose(2, 3, 0, 1)
+    else:
+        dw = (np.array(dws).reshape(16, oc * c).T @ gc._UP2_TAPS).reshape(oc, c, 3, 3)
+    dx = dxf[:, :grid].reshape(c, bsz, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3)
+    return out, dx, dw
+
+
+@pytest.mark.parametrize("batch", [None, 1], ids=["train", "eval"])
+def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
+    """The output and dW are bit-equal to one GEMM per tap, at every conv of
+    the default network (refine.conv1 with its four upsample=2 phases), at
+    the training batch and at eval's batch 1."""
+    cfg = cli.load_config(sets=[], seed=0)
+    net = cfg.network_config()
+    calls, real = [], network.conv2d
+
+    def spy(tape, x, w, b, stride=1, padding=0, upsample=1):
+        calls.append((x.data, w.data, b.data, stride, padding, upsample))
+        return real(tape, x, w, b, stride, padding, upsample)
+
+    monkeypatch.setattr(network, "conv2d", spy)
+    image = gc.Rng(1).fill_uniform((batch or cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width))
+    network.forward(None, gc.Tensor(image), network.init_params(net, gc.Rng(0)))
+    assert len(calls) == 26 and [call[-1] for call in calls].count(2) == 1
+    rng = gc.Rng(2)
+    for k, (xd, wd, bd, stride, padding, upsample) in enumerate(calls):
+        x, w, b = t4(xd, True), t4(wd, True), t4(bd, True)
+        tape = gc.Tape()
+        out = gc.conv2d(tape, x, w, b, stride, padding, upsample)
+        g = rng.fill_uniform(out.shape, -1, 1)
+        gc.backward(sum_all(tape, out, g))
+        want, dx, dw = per_tap_conv2d(xd, wd, bd, g, stride, padding, upsample)
+        where = f"conv {k}: x {xd.shape}, w {wd.shape}, stride {stride}, upsample {upsample}"
+        np.testing.assert_array_equal(out.data, want, err_msg=where)
+        np.testing.assert_array_equal(w.grad, dw, err_msg=where)
+        np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12, err_msg=where)
 
 
 # Runs every conv of the network (inputs drawn per conv, weights from the
