@@ -462,7 +462,7 @@ def conv2d(
         )
     grid = b * hp * wp
     n = -(-grid // 16) * 16
-    span = (kh - 1) * wp + (kw - 1)
+    width = n + (kh - 1) * wp + (kw - 1)  # n plus the offset of the last tap
     wd = weight.data
     # Each phase is the index of the output pixels it writes, its (ti, tj,
     # oc, c) tap weights and the buffer offset of its tap (0, 0).
@@ -472,12 +472,12 @@ def conv2d(
         wt = (_UP2_TAPS @ wd.reshape(oc * c, 9).T).reshape(2, 2, 2, 2, oc, c)
         phases = [(np.s_[:, :, a::2, e::2], wt[a, e], a * wp + e) for a in (0, 1) for e in (0, 1)]
 
-    xf = np.zeros((c, n + span))
+    xf = np.zeros((c, width))
     xf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
 
     def taps(wk, base):  # (ti, tj, c, n) view of xf; tap (i, j) is xf[:, base+i*wp+j:][:, :n]
         return np.ndarray((*wk.shape[:2], c, n), buffer=xf, offset=8 * base,
-                          strides=(8 * wp, 8, 8 * (n + span), 8))
+                          strides=(8 * wp, 8, 8 * width, 8))
 
     out_data = np.empty((b, oc, u * gh, u * gw))
     for pix, wk, base in phases:
@@ -495,21 +495,18 @@ def conv2d(
             if want_w:
                 dwt = np.empty((len(phases), *phases[0][1].shape))
             if want_x:
-                dxf = np.empty((c, n + span))
-                dxf[:, n:] = 0.0
-            # With one output channel each dx tap's product has K=1: a
-            # broadcast multiply gives the GEMM's bits without its overhead.
-            dot = np.multiply if oc == 1 else np.matmul
+                gs = np.empty((phases[0][1][..., 0].size, width))
             for k, (pix, wk, base) in enumerate(phases):
                 gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
                 if want_w:
                     np.matmul(gf, taps(wk, base).transpose(0, 1, 3, 2), out=dwt[k])
-                for i, j in np.ndindex(*wk.shape[:2]) if want_x else ():
-                    off = base + i * wp + j
-                    if off == 0:  # the first tap writes dxf, the rest add
-                        dot(wk[i, j].T, gf, out=dxf[:, :n])
-                    else:
-                        dxf[:, off:off + n] += dot(wk[i, j].T, gf)
+                if want_x:  # row block (i, j) of gs is gf shifted right by tap (i, j)'s offset
+                    ti, tj = wk.shape[:2]
+                    gs.fill(0.0)
+                    np.ndarray((ti, tj, oc, n), buffer=gs, offset=8 * base,
+                               strides=(8 * (tj * oc * width + wp), 8 * (oc * width + 1), 8 * width, 8))[...] = gf
+                    dxk = wk.reshape(-1, c).T @ gs
+                    dxf = dxk if k == 0 else dxf + dxk
             if want_w:
                 if u == 1:
                     _accum(weight, dwt.reshape(kh, kw, oc, c).transpose(2, 3, 0, 1))

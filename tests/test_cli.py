@@ -435,9 +435,9 @@ def _printed_paths(out: str) -> list[Path]:
 # The bytes the chain writes at the test config (seed 3), the same at 1 and 2
 # BLAS threads.
 CHAIN_SHA256 = {
-    "model.ckpt": "9f391f6f989275537cf87124a7d3f114fe8ae45f79da33c519f45affff40855a",
-    "model.ckpt.log.jsonl": "fe6833acf2733384fe5fcb68897b9fac19a7a3c484b3a0a1013c25fed4a25f9d",
-    "metrics.jsonl": "5e77bde7c19fc372e7f72acf8157b9c7bcb03b1388dc878c18975eed66901c37",
+    "model.ckpt": "83f46977df8129255c6acdac7fad983bd0bb8c703f751eb491100104039417bd",
+    "model.ckpt.log.jsonl": "68766d850adbb453a4601fdb7ef7d113e3caef6311e851a665003f414306c2e3",
+    "metrics.jsonl": "254603388795542fbc958572aac8679779a0f12593d846c3d53cce619cc39af5",
     "out.depth.pgm": "ed9a24bd8636a6c26fdce372589f97ebd9b0766c63536ef45d981b9e748d76fc",
     "out.conf.pgm": "7d0b3500971941d125b3960b603765f1d973bff6f5ad0eb0b39e0a28069ea97b",
     "out.vis.ppm": "37068f2958a81483a4a846f5f31460ec9cee5e49ff7b4cadf4770d252848d873",
