@@ -8,9 +8,11 @@ points to its tape, so dropping the nodes breaks the output -> tape -> node
 -> output cycle: a step's graph is freed by reference counting, not by the
 cycle collector. The operation set is exactly what a small convolutional
 ordinal-regression network needs, all in float64 so analytic gradients can
-be checked against central finite differences. conv2d is one GEMM per
-kernel tap on a flat padded input, no column matrix, with the GEMM width
-rounded up to a multiple of 16 so results do not depend on BLAS threads; a
+be checked against central finite differences. conv2d makes one GEMM-level
+call per pass: a batched matmul over a strided view of every kernel tap of a
+flat padded input for the forward and dW, and one GEMM on the output
+gradient shifted once per tap for dx, with no column matrix. Its grid width
+is rounded up to a multiple of 16 so results do not depend on BLAS threads; a
 3x3 conv of a x2 nearest upsample runs as four 2x2 phase convs of the input.
 """
 
@@ -413,26 +415,29 @@ def conv2d(
     Output size per axis is (in + 2*padding - k)//stride + 1; rows/columns
     that do not fit a full window are dropped.
 
-    Computed as one GEMM per kernel tap on a shifted view of the input, with
-    no column matrix (kn2row; Vasudevan et al., ASAP 2017). The input is
-    padded once into a flat channel-major buffer xf of shape (c, n + span):
-    the padded (b, H+2p, W+2p) grid row after row, row width Wp, and
-    span = (kh-1)*Wp + kw-1. Tap (i, j) is the view v = xf[:, i*Wp+j:][:, :n],
-    so the sum over taps of W[:, :, i, j] @ v is the stride-1 output at every
-    grid position. Positions whose window wraps past a row or image edge are
-    dropped; stride 2 keeps every second row and column. Backward embeds g on
-    the same grid: dW[:, :, i, j] = g @ v.T and dxf[v] += W[:, :, i, j].T @ g.
-    n is the grid size rounded up to a multiple of 16 over a zero tail of xf:
-    OpenBLAS computes the last (n mod 8) columns of a GEMM differently at
-    different thread counts, so this keeps results thread-independent.
+    Computed on shifted views of the input with no column matrix (kn2row;
+    Vasudevan et al., ASAP 2017). The input is padded once into a flat
+    channel-major buffer xf of shape (c, width): the padded (b, H+2p, W+2p)
+    grid row after row, row width Wp, then zeros up to width = n + (kh-1)*Wp
+    + kw-1. Tap (i, j) reads v_ij = xf[:, i*Wp+j:][:, :n]; all taps are one
+    strided (kh, kw, c, n) view V of xf, and matmul(W[i, j, oc, c], V) summed
+    over the taps in tap order is the stride-1 output at every grid position.
+    Positions whose window wraps past a row or image edge are dropped; stride
+    2 keeps every second row and column. Backward embeds g on the same grid:
+    dW = matmul(g, V.T), and dx is one GEMM, W.T (c x kh*kw*oc) @ G, where
+    row block (i, j) of G (kh*kw*oc x width) is g shifted right by i*Wp + j.
+    n is the grid size rounded up to a multiple of 16: OpenBLAS computes the
+    last (N mod 8) columns of an N-column GEMM differently at different
+    thread counts, and these lie past n, in padding that is dropped.
 
     upsample=2 (3x3 kernel, padding 1, stride 1 only) gives the (b, oc, 2h, 2w)
     conv2d(upsample_nearest(x, 2), W, b, 1, 1) without forming the upsample,
     at 4/9 of the MACs: output phase (a, e), out[:, :, a::2, e::2], is a 2x2
     convolution of x whose tap (d, f) is W's taps on the same source pixel
     summed, read at view offset (a+d)*Wp + e+f (resize-convolution as
-    sub-pixel convolution; Shi et al., CVPR 2016). The 16 phase-tap dW unfold
-    back onto the 3x3 taps, and dx lands at x's resolution.
+    sub-pixel convolution; Shi et al., CVPR 2016). Each phase is one pass; the
+    16 phase-tap dW unfold back onto the 3x3 taps, and the phases' dx sum at
+    x's resolution.
     """
     b, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
@@ -494,7 +499,7 @@ def conv2d(
             gf = np.zeros((oc, n))
             if want_w:
                 dwt = np.empty((len(phases), *phases[0][1].shape))
-            if want_x:
+            if want_x:  # G, (ti*tj*oc, width)
                 gs = np.empty((phases[0][1][..., 0].size, width))
             for k, (pix, wk, base) in enumerate(phases):
                 gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)

@@ -6,7 +6,7 @@ depth error (side-of-plane agreement). Percentages are reported in [0, 100].
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class MetricReport:
     pixel_count: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # asdict would deep-copy every field
 
 
 def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -> MetricReport:

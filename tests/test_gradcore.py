@@ -325,10 +325,14 @@ def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
 # and backward, and prints one sha256 per conv over the output and the three
 # gradients, with its upsample factor. It does so for the default config at
 # its training batch and at batch 1 (as `eval` runs), for the config given by
-# the arguments at its training batch, and for one 1x1 conv whose grid of
-# 46*201 = 9246 columns (not a multiple of 8) is all kept outputs. The
-# upsample=2 conv, refine.conv1, runs on a grid of 8*18*18 = 2592 columns at
-# the training batch and of 324 (rounded up to 336) at batch 1.
+# the arguments at its training batch, for one 1x1 conv whose grid of
+# 46*201 = 9246 columns (not a multiple of 8) is all kept outputs, and for
+# one unpadded 3x3 conv, 16 channels in and out, whose dx GEMM is 880 + 78 =
+# 958 columns wide: OpenBLAS computes its last 958 mod 8 columns differently
+# at different thread counts, so they must stay past the 23*38 = 874 columns
+# of the grid, in the part of dx that is dropped. The upsample=2 conv,
+# refine.conv1, runs on a grid of 8*18*18 = 2592 columns at the training
+# batch and of 324 (rounded up to 336) at batch 1.
 _CONV_HASH_SCRIPT = """
 import hashlib
 import sys
@@ -381,6 +385,8 @@ rng = gc.Rng(5)
 w = gc.Tensor(rng.fill_uniform((16, 18, 1, 1), -1, 1), requires_grad=True)
 b = gc.Tensor(rng.fill_uniform((1, 16, 1, 1), -1, 1), requires_grad=True)
 print_hash("odd", "pointwise", (1, 18, 46, 201), w, b, 1, 0)
+w = gc.Tensor(rng.fill_uniform((16, 16, 3, 3), -1, 1), requires_grad=True)
+print_hash("odd", "3x3", (1, 16, 23, 38), w, b, 1, 0)
 """
 
 
@@ -399,7 +405,7 @@ def _conv_hashes(threads: int) -> str:
 def test_conv_results_do_not_depend_on_blas_threads():
     one, two = _conv_hashes(1), _conv_hashes(2)
     lines = one.splitlines()
-    assert len(lines) == 3 * 26 + 1  # every conv of the network, per config
+    assert len(lines) == 3 * 26 + 2  # every conv of the network, per config, and the odd two
     assert [line.split()[:2] for line in lines if line.split()[2] == "x2"] == [
         [label, "refine.conv1"] for label in ("train", "eval", "args")]
     assert one == two
