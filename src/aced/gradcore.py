@@ -499,13 +499,13 @@ def conv2d(
             gf = np.zeros((oc, n))
             if want_w:
                 dwt = np.empty((len(phases), *phases[0][1].shape))
-            if want_x:  # G, (ti*tj*oc, width)
+            if want_x:  # the docstring's G, (ti*tj*oc, width)
                 gs = np.empty((phases[0][1][..., 0].size, width))
             for k, (pix, wk, base) in enumerate(phases):
                 gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
                 if want_w:
                     np.matmul(gf, taps(wk, base).transpose(0, 1, 3, 2), out=dwt[k])
-                if want_x:  # row block (i, j) of gs is gf shifted right by tap (i, j)'s offset
+                if want_x:  # row block (i, j) of G is gf shifted right by tap (i, j)'s offset
                     ti, tj = wk.shape[:2]
                     gs.fill(0.0)
                     np.ndarray((ti, tj, oc, n), buffer=gs, offset=8 * base,

@@ -291,9 +291,9 @@ def per_tap_conv2d(x, w, b, g, stride, padding, upsample):
 
 @pytest.mark.parametrize("batch", [None, 1], ids=["train", "eval"])
 def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
-    """The output and dW are bit-equal to one GEMM per tap, at every conv of
-    the default network (refine.conv1 with its four upsample=2 phases), at
-    the training batch and at eval's batch 1."""
+    """The output and dW are bit-equal to one GEMM per tap, and dx within
+    1e-12, at every conv of the default network (refine.conv1 with its four
+    upsample=2 phases), at the training batch and at eval's batch 1."""
     cfg = cli.load_config(sets=[], seed=0)
     net = cfg.network_config()
     calls, real = [], network.conv2d
