@@ -1,5 +1,7 @@
 """Deterministic synthetic scene generation with dense ground-truth depth,
-on-the-fly augmentation, and bit-exact PPM/PGM on-disk formats.
+on-the-fly augmentation, and bit-exact PPM/PGM on-disk formats. A sample
+read from disk holds its file integers (5 bytes a pixel, not 32 as float64)
+and decodes them on access.
 
 A scene is a background plane whose depth ramps linearly top to bottom plus
 a few constant-depth rectangles and ellipses composited nearest-first.
@@ -24,6 +26,7 @@ __all__ = [
     "MissingScaleError",
     "SceneSpec",
     "SceneSample",
+    "StoredSample",
     "generate_scene",
     "augment",
     "apply_augment",
@@ -72,7 +75,8 @@ _NOISE = 0.02  # half-width of the uniform pixel noise
 @dataclass
 class SceneSample:
     """Image in [0,1] and metric depth in [alpha, beta], shapes (3,H,W) and
-    (1,H,W). Every pixel carries a valid depth."""
+    (1,H,W), as float64 arrays; generate_scene and augment return one.
+    Every pixel carries a valid depth."""
 
     image: np.ndarray
     depth: np.ndarray
@@ -125,16 +129,16 @@ def generate_scene(spec: SceneSpec, index: int) -> SceneSample:
 
 
 def apply_augment(
-    sample: SceneSample,
+    sample: SceneSample | StoredSample,
     brightness: float,
     contrast: float,
     color: tuple[float, float, float],
 ) -> SceneSample:
     """Photometric ops on the image; identity parameters return the sample
     values (the image to within the rounding of the contrast step, which
-    recentres on the mean). The depth is the sample's own array, not a copy."""
-    # A C-ordered copy: `img.mean()` sums in memory order, and read_ppm
-    # returns a transposed view, so the layout decides the mean's last bit.
+    recentres on the mean). The depth is `sample.depth`, not a copy."""
+    # A C-ordered copy: `img.mean()` sums in memory order, and a decoded PPM
+    # is a transposed view, so the layout decides the mean's last bit.
     img = sample.image.copy()
     img *= brightness
     mean = img.mean()
@@ -143,7 +147,7 @@ def apply_augment(
     return SceneSample(image=np.clip(img, 0.0, 1.0), depth=sample.depth)
 
 
-def augment(sample: SceneSample, rng: Rng) -> SceneSample:
+def augment(sample: SceneSample | StoredSample, rng: Rng) -> SceneSample:
     """Brightness in [0.8,1.25], contrast in [0.9,1.1] and per-channel
     color shift in [0.95,1.05], at the sample's full size."""
     # Skip the two stream positions that once drew a crop offset, so that
@@ -253,14 +257,19 @@ def _read_netpbm(path, magic: str, maxval: int, sample: str, channels: int) -> t
     return raw.reshape(h, w, channels).transpose(2, 0, 1), r.comments
 
 
-def read_ppm(path) -> np.ndarray:
-    raw, _ = _read_netpbm(path, "P6", 255, "u1", 3)
+def _decode_ppm(raw: np.ndarray) -> np.ndarray:
     return raw.astype(np.float64) / 255.0
 
 
-def read_pgm16(path) -> tuple[np.ndarray, float]:
-    """Returns ((1,H,W) values in meters, scale); the scale must be finite
-    and positive."""
+def _decode_pgm16(raw: np.ndarray, scale: float) -> np.ndarray:
+    return raw.astype(np.float64) * scale
+
+
+def _raw_ppm(path) -> np.ndarray:
+    return _read_netpbm(path, "P6", 255, "u1", 3)[0]
+
+
+def _raw_pgm16(path) -> tuple[np.ndarray, float]:
     raw, comments = _read_netpbm(path, "P5", 65535, ">u2", 1)
     scale = None
     for comment in comments:
@@ -275,13 +284,42 @@ def read_pgm16(path) -> tuple[np.ndarray, float]:
                                            "need a finite positive number")
     if scale is None:
         raise MissingScaleError(f"{path}: no '# scale <s>' comment")
-    return raw.astype(np.float64) * scale, scale
+    return raw, scale
 
 
-def read_sample(image_path, depth_path) -> SceneSample:
-    image = read_ppm(image_path)
-    depth, _ = read_pgm16(depth_path)
-    return SceneSample(image=image, depth=depth)
+def read_ppm(path) -> np.ndarray:
+    return _decode_ppm(_raw_ppm(path))
+
+
+def read_pgm16(path) -> tuple[np.ndarray, float]:
+    """Returns ((1,H,W) values in meters, scale); the scale must be finite
+    and positive."""
+    raw, scale = _raw_pgm16(path)
+    return _decode_pgm16(raw, scale), scale
+
+
+@dataclass(frozen=True, slots=True)
+class StoredSample:
+    """A pair as its files store it: (3,H,W) uint8 and (1,H,W) big-endian
+    uint16 views, and the depth scale. `.image` and `.depth` decode on each
+    access to the arrays read_ppm and read_pgm16 return."""
+
+    rgb: np.ndarray
+    depth_raw: np.ndarray
+    scale: float
+
+    @property
+    def image(self) -> np.ndarray:
+        return _decode_ppm(self.rgb)
+
+    @property
+    def depth(self) -> np.ndarray:
+        return _decode_pgm16(self.depth_raw, self.scale)
+
+
+def read_sample(image_path, depth_path) -> StoredSample:
+    """The pair as its file integers; see StoredSample."""
+    return StoredSample(_raw_ppm(image_path), *_raw_pgm16(depth_path))
 
 
 # ---------------------------------------------------------------------------

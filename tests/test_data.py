@@ -1,10 +1,14 @@
-"""Netpbm round trips and format errors, the scene generator's determinism
-and range, and augmentation: identity parameters, the stream positions one
-call takes, and independence from the image's memory layout."""
+"""Netpbm round trips and format errors, read_sample's decode and the memory
+a held split takes, the scene generator's determinism and range, and
+augmentation: identity parameters, the stream positions one call takes, and
+independence from the image's memory layout."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aced import cli
 from aced.data import (
     MalformedHeaderError,
     MissingScaleError,
@@ -14,8 +18,10 @@ from aced.data import (
     apply_augment,
     augment,
     generate_scene,
+    read_manifest,
     read_pgm16,
     read_ppm,
+    read_sample,
     write_pgm16,
     write_ppm,
 )
@@ -25,6 +31,14 @@ from aced.sid import DEPTH_RANGE
 
 def _spec(seed=5):
     return SceneSpec(seed=seed, height=16, width=32)
+
+
+def _write_scene(tmp_path, index):
+    """(scene, ppm path, pgm path) of scene `index`, written as gen-data does."""
+    s = generate_scene(_spec(), index)
+    write_ppm(tmp_path / "a.ppm", s.image)
+    write_pgm16(tmp_path / "a.pgm", s.depth, DEPTH_RANGE.beta / 65535.0)
+    return s, tmp_path / "a.ppm", tmp_path / "a.pgm"
 
 
 def _write(tmp_path, name, data: bytes):
@@ -91,6 +105,34 @@ class TestFormatErrors:
             read_pgm16(path)
 
 
+class TestReadSample:
+    def test_decodes_to_the_arrays_of_the_readers(self, tmp_path):
+        _, ppm, pgm = _write_scene(tmp_path, 1)
+        sample = read_sample(ppm, pgm)
+        for got, want in ((sample.image, read_ppm(ppm)), (sample.depth, read_pgm16(pgm)[0])):
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape and got.strides == want.strides
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_held_split_takes_about_its_file_bytes(self, tiny_dataset):
+        # The files hold 5 bytes a pixel (RGB bytes and a 16-bit depth);
+        # float64 would take 32. Allow one byte a pixel more, plus 1 KiB a
+        # sample for its Python objects (about 0.7 KiB here: two array
+        # headers, the bytes they view, the depth's dtype, the sample).
+        cfg, manifest = tiny_dataset
+        pairs = [(str(i), str(d)) for i, d in
+                 cli._split_pairs(cfg, read_manifest(manifest), "train")]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = [read_sample(img, dep) for img, dep in pairs]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 12
+        assert held <= len(samples) * (6 * cfg.image_h * cfg.image_w + 1024)
+
+
 class TestGenerateScene:
     def test_deterministic_in_seed_and_index(self):
         a = generate_scene(_spec(), 3)
@@ -130,17 +172,20 @@ class TestAugment:
         assert rng.next_u64() == ref.next_u64()
 
     def test_image_layout_does_not_change_the_result(self, tmp_path):
-        # read_ppm returns a transposed view; the image mean sums in memory
-        # order, so augment must give the bits of a C-ordered copy. The two
-        # summation orders round the mean differently for some jitter draws
-        # only, hence several streams.
-        s = generate_scene(_spec(), 2)
-        write_ppm(tmp_path / "a.ppm", s.image)
-        image = read_ppm(tmp_path / "a.ppm")
-        assert not image.flags.c_contiguous
+        # read_ppm and read_sample give a transposed view; the image mean
+        # sums in memory order, so augment must give the bits of a C-ordered
+        # copy. The two summation orders round the mean differently for
+        # some jitter draws only, hence several streams.
+        s, ppm, pgm = _write_scene(tmp_path, 2)
+        image = read_ppm(ppm)
+        stored = read_sample(ppm, pgm)
+        assert not image.flags.c_contiguous and not stored.image.flags.c_contiguous
         contiguous = np.ascontiguousarray(image)
         for seed in range(8):
             a = augment(SceneSample(image, s.depth), Rng(seed))
             b = augment(SceneSample(contiguous, s.depth), Rng(seed))
+            c = augment(stored, Rng(seed))
             np.testing.assert_array_equal(a.image, b.image, err_msg=f"stream {seed}")
+            np.testing.assert_array_equal(c.image, b.image, err_msg=f"stream {seed}")
             np.testing.assert_array_equal(a.depth, b.depth)
+            np.testing.assert_array_equal(c.depth, read_pgm16(pgm)[0])
