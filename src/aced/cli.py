@@ -46,7 +46,7 @@ from .gradcore import (
     upsample_nearest,
 )
 from .losses import LossWeights, total_loss
-from .metrics import MetricsError, compute_metrics
+from .metrics import MetricsError, compute_metrics, depth_fault
 from .network import NetworkConfig, forward, init_params
 from .sid import DEPTH_RANGE, depth_to_label, encode_rank, hard_decode
 
@@ -319,10 +319,9 @@ def cmd_infer(cfg: RunConfig, checkpoint, image_path, out_prefix) -> dict[str, P
     params = _load_model(cfg, checkpoint)
     out = forward(None, Tensor(image_arr[None]), params)
     depth = out.refined.data[0]
-    for fault, bad in (("non-finite", ~np.isfinite(depth)), ("non-positive", depth <= 0)):
-        if bad.any():
-            raise MetricsError(f"{image_path}: {fault} refined depth: "
-                               f"{np.count_nonzero(bad)} of {depth.size} pixels")
+    if fault := depth_fault(depth):
+        raise MetricsError(f"{image_path}: {fault[0]} refined depth: "
+                           f"{fault[1]} of {depth.size} pixels")
     conf = out.confidence.data[0]
     paths = {
         "depth": Path(f"{out_prefix}.depth.pgm"),

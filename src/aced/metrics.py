@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MetricsError", "MetricReport", "compute_metrics"]
+__all__ = ["MetricsError", "MetricReport", "compute_metrics", "depth_fault"]
 
 
 class MetricsError(Exception):
@@ -32,6 +32,15 @@ class MetricReport:
         return dict(vars(self))  # asdict would deep-copy every field
 
 
+def depth_fault(d: np.ndarray) -> tuple[str, int] | None:
+    """("non-finite" or "non-positive", pixel count) of a depth map, or None."""
+    if 0 < d.min() <= d.max() < np.inf:  # False for a NaN too
+        return None
+    bad = ~np.isfinite(d)
+    fault, bad = ("non-finite", bad) if bad.any() else ("non-positive", d <= 0)
+    return fault, np.count_nonzero(bad)
+
+
 def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -> MetricReport:
     """Every metric over all pixels of two same-shape finite positive depth
     maps; a metric that overflows is a MetricsError. DDE is the percent of
@@ -41,10 +50,8 @@ def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -
         raise MetricsError(f"shape mismatch: {d.shape} vs {d_gt.shape}")
     dv, gv = d.reshape(-1), d_gt.reshape(-1)
     for what, v in (("predicted", dv), ("ground-truth", gv)):
-        if not 0 < v.min() <= v.max() < np.inf:  # False for a NaN too
-            bad = ~np.isfinite(v)
-            fault, bad = ("non-finite", bad) if bad.any() else ("non-positive", v <= 0)
-            raise MetricsError(f"{fault} depth: {np.count_nonzero(bad)} of {v.size} {what} pixels")
+        if fault := depth_fault(v):
+            raise MetricsError(f"{fault[0]} depth: {fault[1]} of {v.size} {what} pixels")
     with np.errstate(over="ignore"):
         ratio = np.maximum(dv / gv, gv / dv)
         deltas = [100.0 * float((ratio < 1.25**i).mean()) for i in (1, 2, 3)]

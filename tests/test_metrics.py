@@ -1,12 +1,13 @@
 """compute_metrics on a hand-computed 2x2 example, and its input checks: a
-depth map must be finite and positive, and so must every metric."""
+depth map must be finite and positive, and so must every metric. depth_fault,
+which infer shares, names a non-finite fault before a non-positive one."""
 
 import math
 
 import numpy as np
 import pytest
 
-from aced.metrics import MetricsError, compute_metrics
+from aced.metrics import MetricsError, compute_metrics, depth_fault
 
 
 def _map(values):
@@ -59,6 +60,15 @@ def test_non_finite_depth_is_rejected(which, bad):
     what = "predicted" if which == "pred" else "ground-truth"
     with pytest.raises(MetricsError, match=f"^non-finite depth: 1 of 4 {what} pixels$"):
         compute_metrics(pred, gt)
+
+
+@pytest.mark.parametrize("values, fault", [
+    ([1.0, 2.0, 5.0, 4.0], None),
+    ([1.0, 0.0, -2.0, 4.0], ("non-positive", 2)),
+    ([np.nan, 0.0, -np.inf, 4.0], ("non-finite", 2)),
+])
+def test_depth_fault(values, fault):
+    assert depth_fault(_map(values)) == fault
 
 
 def test_a_metric_that_overflows_is_rejected():
