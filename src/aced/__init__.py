@@ -18,7 +18,7 @@ from .gradcore import (
     poly_lr,
     save_checkpoint,
 )
-from .losses import LossWeights, loss_grad, loss_log, total_loss
+from .losses import loss_grad, loss_log, total_loss
 from .metrics import MetricReport, compute_metrics
 from .network import NetworkConfig, forward, init_params
 from .ordhead import confidence, expected_label, ordinal_loss, pair_softmax

@@ -45,8 +45,8 @@ from .gradcore import (
     save_checkpoint,
     upsample_nearest,
 )
-from .losses import LossWeights, total_loss
-from .metrics import MetricsError, compute_metrics, depth_fault
+from .losses import total_loss
+from .metrics import MetricsError, compute_metrics, depth_fault, pool_metrics
 from .network import NetworkConfig, forward, init_params
 from .sid import DEPTH_RANGE, depth_to_label, encode_rank, hard_decode
 
@@ -112,9 +112,6 @@ class RunConfig:
             fusion_width=self.fusion_width,
         )
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.w_log, self.w_grad)
-
 
 def load_config(sets: list[str] | None = None, seed: int | None = None) -> RunConfig:
     merged = {k: default for k, (_, default) in _SCHEMA.items()}
@@ -145,9 +142,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"lr must be > 0, got {cfg.lr!r}")
     try:
         cfg.network_config()
-        cfg.loss_weights()
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    if cfg.w_log < 0 or cfg.w_grad < 0:
+        raise ConfigError("loss weights must be non-negative")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if cfg.max_iter < 0:
@@ -203,7 +201,6 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
     samples = [read_sample(img, dep) for img, dep in pairs]
     params = init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
     rng_aug = Rng(derive_seed(cfg.seed, "augment"))
-    weights = cfg.loss_weights()
     n = len(samples)
 
     log_path = Path(log_path) if log_path else Path(str(out_checkpoint) + ".log.jsonl")
@@ -217,7 +214,8 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
 
             tape = Tape()
             out = forward(tape, image, params)
-            loss, parts = total_loss(tape, out.logits, target, out.refined, depth_gt, weights)
+            loss, parts = total_loss(tape, out.logits, target, out.refined, depth_gt,
+                                     cfg.w_log, cfg.w_grad)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericalFailure(
@@ -256,7 +254,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
     params = _load_model(cfg, checkpoint)
 
     lines, failures = [], []
-    sums: dict[str, dict] = {}  # kind -> pixel-weighted sums of each field, rms squared
+    reports: dict[str, list] = {}  # kind -> the MetricReport of each scored image
     for img_path, dep_path in pairs:
         name = Path(img_path).name
         sample = read_sample(img_path, dep_path)
@@ -271,31 +269,22 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         del out  # its logits and probabilities would stay alive through the next forward
         for kind, d in decoded.items():
             try:
-                rep = compute_metrics(d, depth_gt).to_dict()
+                rep = compute_metrics(d, depth_gt)
             except MetricsError as e:
                 failures.append((kind, f"{name}, {kind} output: {e}"))
                 continue
-            lines.append({"image": name, "output": kind, **rep})
-            n = rep["pixel_count"]
-            agg = sums.setdefault(kind, dict.fromkeys(rep, 0))
-            for key, value in rep.items():
-                if key == "rms":
-                    value = value**2  # pooled as the root of the mean square
-                agg[key] += n if key == "pixel_count" else value * n
+            lines.append({"image": name, "output": kind, **rep.to_dict()})
+            reports.setdefault(kind, []).append(rep)
 
     aggregates, failed_pairs = {}, len(failures)
-    for kind, agg in sums.items():
+    for kind, reps in reports.items():
         if any(kind == failed for failed, _ in failures):
             continue
-        n = agg["pixel_count"]
-        rec = {"output": kind, "aggregate": True, **{key: total / n for key, total in agg.items()},
-               "rms": float(np.sqrt(agg["rms"] / n)), "pixel_count": n}
-        overflow = next((key for key in agg if not np.isfinite(rec[key])), None)
-        if overflow:  # every image scored, but the pooled sum did not fit a float
-            failures.append((kind, f"{kind} aggregate: non-finite metric: {overflow}"))
-            continue
-        lines.append(rec)
-        aggregates[kind] = rec
+        try:  # every image scored, but a pooled sum may not fit a float
+            aggregates[kind] = {"output": kind, "aggregate": True, **pool_metrics(reps).to_dict()}
+        except MetricsError as e:
+            failures.append((kind, f"{kind} aggregate: {e}"))
+    lines.extend(aggregates.values())
 
     if out_path is not None:
         with open(out_path, "w", newline="\n") as f:

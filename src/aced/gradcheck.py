@@ -194,11 +194,10 @@ def _check_composed_network(rng, k=4):
     image = gc.Tensor(rng.fill_uniform((1, 3, 16, 16), 0.0, 1.0))
     gt = rng.fill_uniform((1, 1, 16, 16), 0.6, 7.5)
     target = _rank_target(rng, k, (1, 1, 16, 16))
-    weights = losses.LossWeights()
 
     def build(tape):
         out = network.forward(tape, image, params)
-        return losses.total_loss(tape, out.logits, target, out.refined, gt, weights)[0]
+        return losses.total_loss(tape, out.logits, target, out.refined, gt)[0]
 
     return build, [t for _, t in params.items()]
 

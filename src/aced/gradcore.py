@@ -84,7 +84,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
+    """splitmix64's finalizer of an int, or of a uint64 array elementwise."""
     z &= _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
@@ -140,12 +141,7 @@ class Rng:
         """
         n = int(np.prod(shape))
         idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+        z = _mix64(np.uint64(self._state) + idx * np.uint64(_GAMMA))
         self._state = (self._state + n * _GAMMA) & _MASK64
         u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (lo + (hi - lo) * u).reshape(shape)

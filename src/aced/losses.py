@@ -5,27 +5,12 @@ offset, so they are bounded below by ln(0.5) and defined at zero error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gradcore import ShapeMismatchError, Tape, Tensor, _accum, add, scale
 from .ordhead import ordinal_loss
 
-__all__ = ["LossWeights", "loss_log", "loss_grad", "total_loss"]
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Regression weights relative to the ordinal term, which needs none: Adam's
-    step does not change when the whole loss is scaled (up to its epsilon)."""
-
-    w_log: float = 1.0
-    w_grad: float = 1.0
-
-    def __post_init__(self):
-        if self.w_log < 0 or self.w_grad < 0:
-            raise ValueError("loss weights must be non-negative")
+__all__ = ["loss_log", "loss_grad", "total_loss"]
 
 
 def loss_log(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
@@ -95,20 +80,21 @@ def total_loss(
     target: np.ndarray,
     refined: Tensor,
     depth_gt: np.ndarray,
-    weights: LossWeights,
+    w_log: float = 1.0,
+    w_grad: float = 1.0,
 ) -> tuple[Tensor, dict[str, float]]:
     """ordinal(logits) + w_log * log-loss(refined) + w_grad *
     grad-loss(refined), summed in that order, and the unweighted terms keyed
     loss_ord, loss_log and loss_grad.
 
-    The coarse depth is trained by the ordinal term alone. A regression term
-    whose weight is 0 is evaluated off the tape: it is reported but adds
-    nothing to the loss and records no node.
+    The coarse depth is trained by the ordinal term alone, which needs no
+    weight: Adam's step does not change when the whole loss is scaled (up to
+    its epsilon). A regression term whose weight is 0 is evaluated off the
+    tape: it is reported but adds nothing to the loss and records no node.
     """
     out = ordinal_loss(tape, logits, target)
     parts = {"loss_ord": out.item()}
-    for key, w, term_fn in (("loss_log", weights.w_log, loss_log),
-                            ("loss_grad", weights.w_grad, loss_grad)):
+    for key, w, term_fn in (("loss_log", w_log, loss_log), ("loss_grad", w_grad, loss_grad)):
         term = term_fn(tape if w != 0.0 else None, refined, depth_gt)
         parts[key] = term.item()
         if w != 0.0:

@@ -1,6 +1,7 @@
 """Dense depth evaluation metrics: mean absolute relative error, mean log10
 error, rms, threshold accuracies delta_i (ratio < 1.25**i), and directed
 depth error (side-of-plane agreement). Percentages are reported in [0, 100].
+pool_metrics pools per-image reports into one over all their pixels.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MetricsError", "MetricReport", "compute_metrics", "depth_fault"]
+__all__ = ["MetricsError", "MetricReport", "compute_metrics", "depth_fault", "pool_metrics"]
 
 
 class MetricsError(Exception):
@@ -65,6 +66,26 @@ def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -
             dde=100.0 * float(((dv <= plane_depth) == (gv <= plane_depth)).mean()),
             pixel_count=int(dv.size),
         )
+    return _finite(rep)
+
+
+def pool_metrics(reports: list[MetricReport]) -> MetricReport:
+    """One report over all pixels of `reports`: each field's pixel-weighted
+    mean, summed in order, with rms the root of the pooled mean square."""
+    n = sum(rep.pixel_count for rep in reports)
+    sums = {key: 0 for key in vars(reports[0]) if key != "pixel_count"}
+    with np.errstate(over="ignore"):  # an overflow is a non-finite metric, raised below
+        for rep in reports:
+            # numpy's pow, as Python's raises on overflow; x * x would round
+            # some squares differently and move the pooled rms's last bit
+            terms = {**vars(rep), "rms": np.float64(rep.rms) ** 2}
+            for key in sums:
+                sums[key] += terms[key] * rep.pixel_count
+    pooled = {key: total / n for key, total in sums.items()}
+    return _finite(MetricReport(**{**pooled, "rms": math.sqrt(pooled["rms"]), "pixel_count": n}))
+
+
+def _finite(rep: MetricReport) -> MetricReport:
     if overflowed := [key for key, value in vars(rep).items() if not math.isfinite(value)]:
         raise MetricsError(f"non-finite metric: {', '.join(overflowed)}")
     return rep

@@ -351,6 +351,8 @@ _BAD_CONFIGS = [
     (["lr=inf"], "lr must be finite"),
     (["w_log=nan"], "w_log must be finite"),
     (["w_grad=inf"], "w_grad must be finite"),
+    (["w_log=-1"], "loss weights must be non-negative"),
+    (["w_grad=-0.5"], "loss weights must be non-negative"),
 ]
 
 

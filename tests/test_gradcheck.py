@@ -36,7 +36,7 @@ def _model_ops() -> set[str]:
     target = encode_rank(depth_to_label(depth, cfg.k), cfg.k)
     tape = RecordingTape()
     out = network.forward(tape, image, params)
-    total_loss(tape, out.logits, target, out.refined, depth, cfg.loss_weights())
+    total_loss(tape, out.logits, target, out.refined, depth, cfg.w_log, cfg.w_grad)
     return set(tape.names)
 
 

@@ -675,12 +675,15 @@ class TestRng:
         assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
 
     def test_fill_matches_sequential_draws(self):
-        a, b = gc.Rng(9), gc.Rng(9)
-        block = a.fill_uniform((3, 4), 2.0, 5.0)
-        seq = np.array([b.uniform(2.0, 5.0) for _ in range(12)]).reshape(3, 4)
-        np.testing.assert_array_equal(block, seq)
-        # streams stay aligned afterwards
-        assert a.next_u64() == b.next_u64()
+        # 2**63 + 5 and 2**64 - 1 set the state's top bit, which the shared
+        # finalizer must mask the same way on the int and the uint64 path.
+        for seed in (9, 2**63 + 5, 2**64 - 1):
+            a, b = gc.Rng(seed), gc.Rng(seed)
+            block = a.fill_uniform((3, 4), 2.0, 5.0)
+            seq = np.array([b.uniform(2.0, 5.0) for _ in range(12)]).reshape(3, 4)
+            np.testing.assert_array_equal(block, seq)
+            # streams stay aligned afterwards
+            assert a.next_u64() == b.next_u64()
 
     def test_spawn_is_deterministic_and_disjoint(self):
         a = gc.Rng(7).spawn("x")

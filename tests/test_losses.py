@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aced import gradcore as gc
-from aced.losses import LossWeights, loss_grad, loss_log, total_loss
+from aced.losses import loss_grad, loss_log, total_loss
 from aced.ordhead import ordinal_loss
 from aced.sid import encode_rank
 from conftest import RecordingTape
@@ -34,22 +34,20 @@ def _alone(logits, target, refined, gt):
 
 def test_parts_are_the_summed_terms():
     z, target, refined, gt = _inputs()
-    weights = LossWeights(1.3, 2.1)
     tape = RecordingTape()
-    loss, parts = total_loss(tape, z, target, refined, gt, weights)
+    loss, parts = total_loss(tape, z, target, refined, gt, w_log=1.3, w_grad=2.1)
     alone = _alone(z, target, refined, gt)
     assert parts == alone
-    assert loss.item() == ((alone["loss_ord"] + weights.w_log * alone["loss_log"])
-                           + weights.w_grad * alone["loss_grad"])
+    assert loss.item() == ((alone["loss_ord"] + 1.3 * alone["loss_log"])
+                           + 2.1 * alone["loss_grad"])
     assert tape.names.count("scale") == 2 and tape.names.count("add") == 2
 
 
 @pytest.mark.parametrize("zeroed,op", [("w_log", "loss_log"), ("w_grad", "loss_grad")])
 def test_zero_weight_term_is_reported_off_the_tape(zeroed, op):
     z, target, refined, gt = _inputs()
-    weights = LossWeights(**{zeroed: 0.0})
     tape = RecordingTape()
-    loss, parts = total_loss(tape, z, target, refined, gt, weights)
+    loss, parts = total_loss(tape, z, target, refined, gt, **{zeroed: 0.0})
     alone = _alone(z, target, refined, gt)
     assert parts == alone
     assert op not in tape.names

@@ -1,13 +1,15 @@
 """compute_metrics on a hand-computed 2x2 example, and its input checks: a
 depth map must be finite and positive, and so must every metric. depth_fault,
-which infer shares, names a non-finite fault before a non-positive one."""
+which infer shares, names a non-finite fault before a non-positive one.
+pool_metrics weights each report by its pixels and pools rms as the root of
+the mean square, and rejects a pooled metric that overflows."""
 
 import math
 
 import numpy as np
 import pytest
 
-from aced.metrics import MetricsError, compute_metrics, depth_fault
+from aced.metrics import MetricReport, MetricsError, compute_metrics, depth_fault, pool_metrics
 
 
 def _map(values):
@@ -77,3 +79,23 @@ def test_a_metric_that_overflows_is_rejected():
     pred[0, 0, 1, 0] = 1e300
     with pytest.raises(MetricsError, match="^non-finite metric: rms$"):
         compute_metrics(pred, GT)
+
+
+def _report(pixel_count, value, rms):
+    return MetricReport(rel=value, log10=value / 2, rms=rms, delta1=100 * value,
+                        delta2=100.0, delta3=100.0, dde=50 * value, pixel_count=pixel_count)
+
+
+def test_pool_weights_each_report_by_its_pixels():
+    pooled = pool_metrics([_report(1, 0.25, 1.0), _report(3, 0.75, 3.0)])
+    assert pooled.rel == (1 * 0.25 + 3 * 0.75) / 4 == 0.625
+    assert pooled.log10 == 0.3125
+    assert pooled.rms == math.sqrt((1 * 1.0**2 + 3 * 3.0**2) / 4)
+    assert (pooled.delta1, pooled.delta2, pooled.delta3, pooled.dde) == (62.5, 100.0, 100.0, 31.25)
+    assert pooled.pixel_count == 4
+
+
+def test_a_pooled_metric_that_overflows_is_rejected():
+    # 1e200 is a finite rms, but its square is not.
+    with pytest.raises(MetricsError, match="^non-finite metric: rms$"):
+        pool_metrics([_report(1, 0.25, 1e200)])
