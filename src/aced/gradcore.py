@@ -492,20 +492,18 @@ def conv2d(
             if bias.needs_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
             want_w, want_x = weight.needs_grad, x.needs_grad
-            gf = np.zeros((oc, n))
+            span = width - n  # gf sits in gfp between span zero columns on each side
+            gfp = np.zeros((oc, n + 2 * span))
+            gf = gfp[:, span:span + n]
             if want_w:
                 dwt = np.empty((len(phases), *phases[0][1].shape))
-            if want_x:  # the docstring's G, (ti*tj*oc, width)
-                gs = np.empty((phases[0][1][..., 0].size, width))
             for k, (pix, wk, base) in enumerate(phases):
                 gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
                 if want_w:
                     np.matmul(gf, taps(wk, base).transpose(0, 1, 3, 2), out=dwt[k])
-                if want_x:  # row block (i, j) of G is gf shifted right by tap (i, j)'s offset
-                    ti, tj = wk.shape[:2]
-                    gs.fill(0.0)
-                    np.ndarray((ti, tj, oc, n), buffer=gs, offset=8 * base,
-                               strides=(8 * (tj * oc * width + wp), 8 * (oc * width + 1), 8 * width, 8))[...] = gf
+                if want_x:  # the docstring's G: row block (i, j) is gf shifted right by tap (i, j)'s offset
+                    gs = np.ndarray((*wk.shape[:2], oc, width), buffer=gfp, offset=8 * (span - base),
+                                    strides=(-8 * wp, -8, 8 * (n + 2 * span), 8)).reshape(-1, width)
                     dxk = wk.reshape(-1, c).T @ gs
                     dxf = dxk if k == 0 else dxf + dxk
             if want_w:
