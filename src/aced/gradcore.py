@@ -524,17 +524,23 @@ def conv2d(
 
 
 class ParamStore:
-    """Named parameters in deterministic insertion order; all require grad."""
+    """Named parameters in deterministic insertion order; all require grad.
+    pack() makes every .data a view of one flat vector and zero_grads every
+    .grad a view of another, so Adam is one vector update."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._adam_m: dict[str, np.ndarray] | None = None
-        self._adam_v: dict[str, np.ndarray] | None = None
+        self._flat: np.ndarray | None = None  # every value in store order, once packed
+        self._grad: np.ndarray | None = None
+        self._grads: list[np.ndarray] = []  # each parameter's view of _grad
+        self._adam_m = self._adam_v = None  # flat moments, from the first adam_step
         self._adam_t = 0
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
+        if self._flat is not None:
+            raise ValueError(f"cannot add {name!r}: the store is packed")
         t = data if isinstance(data, Tensor) else Tensor(data)
         t.needs_grad = True
         self._params[name] = t
@@ -549,9 +555,24 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def zero_grads(self) -> None:
+    def pack(self) -> None:
+        """Make every Tensor.data a view of one flat vector (idempotent)."""
+        if self._flat is not None:
+            return
+        size = sum(t.data.size for t in self._params.values())
+        self._flat, self._grad, lo = np.empty(size), np.zeros(size), 0
         for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
+            hi = lo + t.data.size
+            self._flat[lo:hi] = t.data.reshape(-1)
+            t.data = self._flat[lo:hi].reshape(t.shape)
+            self._grads.append(self._grad[lo:hi].reshape(t.shape))
+            lo = hi
+
+    def zero_grads(self) -> None:
+        self.pack()
+        self._grad.fill(0.0)
+        for t, g in zip(self._params.values(), self._grads):
+            t.grad = g
 
 
 ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator guard (Kingma & Ba)
@@ -560,26 +581,26 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(params: ParamStore, lr: float) -> None:
-    """One Adam update with bias correction; state persists on the store."""
+    """One Adam update with bias correction over the store's flat vectors;
+    state persists on the store."""
+    params.pack()
+    for (name, p), view in zip(params.items(), params._grads):
+        if p.grad is None:
+            raise MissingGradientError(f"parameter {name!r} has no gradient")
+        if p.grad is not view:  # set by the caller, or by a backward before zero_grads
+            view[...] = p.grad
     if params._adam_m is None:
-        params._adam_m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        params._adam_v = {n: np.zeros_like(t.data) for n, t in params.items()}
-        params._adam_t = 0
+        params._adam_m, params._adam_v = np.zeros_like(params._flat), np.zeros_like(params._flat)
     params._adam_t += 1
     t = params._adam_t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, p in params.items():
-        if p.grad is None:
-            raise MissingGradientError(f"parameter {name!r} has no gradient")
-        g = p.grad
-        m = params._adam_m[name]
-        v = params._adam_v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g, m, v = params._grad, params._adam_m, params._adam_v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    params._flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> float:

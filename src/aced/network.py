@@ -121,6 +121,7 @@ def init_params(config: NetworkConfig, rng: Rng) -> ParamStore:
         s = math.sqrt(1.0 / (ic * k * k))
         params.add(f"{name}.w", rng.fill_uniform((oc, ic, k, k), -s, s))
         params.add(f"{name}.b", rng.fill_uniform((1, oc, 1, 1), -s, s))
+    params.pack()
     return params
 
 

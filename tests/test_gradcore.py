@@ -647,6 +647,36 @@ class TestAdam:
         expect = 1.0 - lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
         np.testing.assert_allclose(p.data[0, 0, 0, 0], expect, rtol=0, atol=0)
 
+    def test_flat_update_is_the_per_parameter_update(self):
+        """Three steps on a three-tensor store, one of whose gradients the
+        caller replaces, give the bits of Adam run one tensor at a time."""
+        rng, lr = gc.Rng(11), 3e-3
+        shapes = {"a.w": (2, 3, 3, 3), "a.b": (1, 2, 1, 1), "c.w": (1, 2, 1, 1)}
+        params = gc.ParamStore()
+        for name, shape in shapes.items():
+            params.add(name, rng.fill_uniform(shape, -1, 1))
+        want = {name: t.data.copy() for name, t in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for step in (1, 2, 3):
+            params.zero_grads()
+            grads = {name: rng.fill_uniform(shape, -1, 1) for name, shape in shapes.items()}
+            for name, t in params.items():
+                if name == "a.b":
+                    t.grad = grads[name]
+                else:
+                    t.grad += grads[name]
+            gc.adam_step(params, lr)
+            bc1, bc2 = 1.0 - gc.ADAM_BETA1**step, 1.0 - gc.ADAM_BETA2**step
+            for name, g in grads.items():
+                m[name] *= gc.ADAM_BETA1
+                m[name] += (1.0 - gc.ADAM_BETA1) * g
+                v[name] *= gc.ADAM_BETA2
+                v[name] += (1.0 - gc.ADAM_BETA2) * (g * g)
+                want[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + gc.ADAM_EPS)
+        for name, t in params.items():
+            np.testing.assert_array_equal(t.data, want[name], err_msg=name)
+
     def test_missing_gradient_names_parameter(self):
         params = gc.ParamStore()
         params.add("enc.w", np.zeros((1, 1, 1, 1)))
