@@ -10,10 +10,11 @@ cycle collector. The operation set is exactly what a small convolutional
 ordinal-regression network needs, all in float64 so analytic gradients can
 be checked against central finite differences. conv2d makes one GEMM-level
 call per pass: a batched matmul over a strided view of every kernel tap of a
-flat padded input for the forward and dW, and one GEMM on the output
-gradient shifted once per tap for dx, with no column matrix. Its grid width
-is rounded up to a multiple of 16 so results do not depend on BLAS threads; a
-3x3 conv of a x2 nearest upsample runs as four 2x2 phase convs of the input.
+flat input grid, whose rows and images share one zero gap, for the forward
+and dW, and one GEMM on the output gradient shifted once per tap for dx,
+with no column matrix. Its grid width is rounded up to a multiple of 16 so
+results do not depend on BLAS threads; a 3x3 conv of a x2 nearest upsample
+runs as four 2x2 phase convs of the input.
 """
 
 from __future__ import annotations
@@ -412,25 +413,30 @@ def conv2d(
     that do not fit a full window are dropped.
 
     Computed on shifted views of the input with no column matrix (kn2row;
-    Vasudevan et al., ASAP 2017). The input is padded once into a flat
-    channel-major buffer xf of shape (c, width): the padded (b, H+2p, W+2p)
-    grid row after row, row width Wp, then zeros up to width = n + (kh-1)*Wp
-    + kw-1. Tap (i, j) reads v_ij = xf[:, i*Wp+j:][:, :n]; all taps are one
-    strided (kh, kw, c, n) view V of xf, and matmul(W[i, j, oc, c], V) summed
-    over the taps in tap order is the stride-1 output at every grid position.
-    Positions whose window wraps past a row or image edge are dropped; stride
-    2 keeps every second row and column. Backward embeds g on the same grid:
-    dW = matmul(g, V.T), and dx is one GEMM, W.T (c x kh*kw*oc) @ G, where
-    row block (i, j) of G (kh*kw*oc x width) is g shifted right by i*Wp + j.
-    n is the grid size rounded up to a multiple of 16: OpenBLAS computes the
-    last (N mod 8) columns of an N-column GEMM differently at different
-    thread counts, and these lie past n, in padding that is dropped.
+    Vasudevan et al., ASAP 2017). The input is copied once into a zeroed flat
+    channel-major buffer xf of shape (c, width), on a grid where neighbours
+    share one gap: each image row is followed by max(p, 2p-kw+1) zero
+    columns (row pitch Wq) and each image by max(p, 2p-kh+1) zero rows;
+    image 0's first pixel sits at lead = p*Wq + p, and width = n + max(span,
+    lead), with span = (kh-1)*Wq + kw-1 the last tap's offset. Tap (i, j)
+    reads v_ij = xf[:, i*Wq+j:][:, :n]; all taps are one strided (kh, kw, c,
+    n) view V of xf, and matmul(W[i, j, oc, c], V) summed over the taps in
+    tap order is the stride-1 output at every grid position. Positions whose
+    window runs into the next row or image are dropped; stride 2 keeps every
+    second row and column. Backward embeds g on the same grid: dW =
+    matmul(g, V.T), and dx is one GEMM, W.T (c x kh*kw*oc) @ G, where row
+    block (i, j) of G (kh*kw*oc x width) is g shifted right by i*Wq + j; dx
+    starts at column lead. n is the grid size rounded up to a multiple of 16:
+    OpenBLAS computes the last (N mod 8) columns of an N-column GEMM
+    differently at different thread counts. The forward and dW GEMMs are n
+    wide; the dx GEMM's ragged columns lie past n, where dx keeps nothing,
+    since the last image's trailing gap is at least lead long.
 
     upsample=2 (3x3 kernel, padding 1, stride 1 only) gives the (b, oc, 2h, 2w)
     conv2d(upsample_nearest(x, 2), W, b, 1, 1) without forming the upsample,
     at 4/9 of the MACs: output phase (a, e), out[:, :, a::2, e::2], is a 2x2
     convolution of x whose tap (d, f) is W's taps on the same source pixel
-    summed, read at view offset (a+d)*Wp + e+f (resize-convolution as
+    summed, read at view offset (a+d)*Wq + e+f (resize-convolution as
     sub-pixel convolution; Shi et al., CVPR 2016). Each phase is one pass; the
     16 phase-tap dW unfold back onto the 3x3 taps, and the phases' dx sum at
     x's resolution.
@@ -461,9 +467,11 @@ def conv2d(
         raise ShapeMismatchError(
             f"conv2d: kernel ({kh}x{kw}) too large for padded input ({hp}x{wp})"
         )
-    grid = b * hp * wp
+    hq, wq = h + max(p, 2 * p - kh + 1), w + max(p, 2 * p - kw + 1)
+    grid = b * hq * wq
     n = -(-grid // 16) * 16
-    width = n + (kh - 1) * wp + (kw - 1)  # n plus the offset of the last tap
+    lead, span = p * wq + p, (kh - 1) * wq + kw - 1  # image 0's first pixel; the last tap's offset
+    width = n + max(span, lead)
     wd = weight.data
     # Each phase is the index of the output pixels it writes, its (ti, tj,
     # oc, c) tap weights and the buffer offset of its tap (0, 0).
@@ -471,20 +479,20 @@ def conv2d(
         phases = [(..., np.ascontiguousarray(wd.transpose(2, 3, 0, 1)), 0)]
     else:
         wt = (_UP2_TAPS @ wd.reshape(oc * c, 9).T).reshape(2, 2, 2, 2, oc, c)
-        phases = [(np.s_[:, :, a::2, e::2], wt[a, e], a * wp + e) for a in (0, 1) for e in (0, 1)]
+        phases = [(np.s_[:, :, a::2, e::2], wt[a, e], a * wq + e) for a in (0, 1) for e in (0, 1)]
 
     xf = np.zeros((c, width))
-    xf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
+    xf[:, lead:lead + grid].reshape(c, b, hq, wq)[:, :, :h, :w] = x.data.transpose(1, 0, 2, 3)
 
-    def taps(wk, base):  # (ti, tj, c, n) view of xf; tap (i, j) is xf[:, base+i*wp+j:][:, :n]
+    def taps(wk, base):  # (ti, tj, c, n) view of xf; tap (i, j) is xf[:, base+i*wq+j:][:, :n]
         return np.ndarray((*wk.shape[:2], c, n), buffer=xf, offset=8 * base,
-                          strides=(8 * wp, 8, 8 * width, 8))
+                          strides=(8 * wq, 8, 8 * width, 8))
 
     out_data = np.empty((b, oc, u * gh, u * gw))
     for pix, wk, base in phases:
         y = np.matmul(wk, taps(wk, base)).reshape(-1, oc, n).sum(0)
         # Add into the output; a plain `+` would keep y's (oc, b) order.
-        kept = y[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s]
+        kept = y[:, :grid].reshape(oc, b, hq, wq)[:, :, :s * gh:s, :s * gw:s]
         np.add(kept.transpose(1, 0, 2, 3), bias.data, out=out_data[pix])
     out = Tensor(out_data)
     if _want(tape, x, weight, bias):
@@ -492,18 +500,17 @@ def conv2d(
             if bias.needs_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
             want_w, want_x = weight.needs_grad, x.needs_grad
-            span = width - n  # gf sits in gfp between span zero columns on each side
-            gfp = np.zeros((oc, n + 2 * span))
+            gfp = np.zeros((oc, span + width))  # gf with span zeros before it, width - n after
             gf = gfp[:, span:span + n]
             if want_w:
                 dwt = np.empty((len(phases), *phases[0][1].shape))
             for k, (pix, wk, base) in enumerate(phases):
-                gf[:, :grid].reshape(oc, b, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
+                gf[:, :grid].reshape(oc, b, hq, wq)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
                 if want_w:
                     np.matmul(gf, taps(wk, base).transpose(0, 1, 3, 2), out=dwt[k])
                 if want_x:  # the docstring's G: row block (i, j) is gf shifted right by tap (i, j)'s offset
                     gs = np.ndarray((*wk.shape[:2], oc, width), buffer=gfp, offset=8 * (span - base),
-                                    strides=(-8 * wp, -8, 8 * (n + 2 * span), 8)).reshape(-1, width)
+                                    strides=(-8 * wq, -8, 8 * (span + width), 8)).reshape(-1, width)
                     dxk = wk.reshape(-1, c).T @ gs
                     dxf = dxk if k == 0 else dxf + dxk
             if want_w:
@@ -512,7 +519,7 @@ def conv2d(
                 else:
                     _accum(weight, (dwt.reshape(16, oc * c).T @ _UP2_TAPS).reshape(oc, c, 3, 3))
             if want_x:
-                dx = dxf[:, :grid].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w]
+                dx = dxf[:, lead:lead + grid].reshape(c, b, hq, wq)[:, :, :h, :w]
                 _accum(x, dx.transpose(1, 0, 2, 3))
         tape.record("conv2d", (x, weight, bias), out, bwd)
     return out

@@ -437,9 +437,9 @@ def _printed_paths(out: str) -> list[Path]:
 # The bytes the chain writes at the test config (seed 3), the same at 1 and 2
 # BLAS threads.
 CHAIN_SHA256 = {
-    "model.ckpt": "83f46977df8129255c6acdac7fad983bd0bb8c703f751eb491100104039417bd",
-    "model.ckpt.log.jsonl": "68766d850adbb453a4601fdb7ef7d113e3caef6311e851a665003f414306c2e3",
-    "metrics.jsonl": "254603388795542fbc958572aac8679779a0f12593d846c3d53cce619cc39af5",
+    "model.ckpt": "db1347934e416429a670b0b903a8946c42f4b464f24724cdc86f5710968f40be",
+    "model.ckpt.log.jsonl": "e1060342c32311047f3350ee6aa148d96be15efb360164be6c0b90e8316aa085",
+    "metrics.jsonl": "3b381c1f3b4f8c38baed3d64c94f255aa2cb289a1c83d893b59c5db68ed392bf",
     "out.depth.pgm": "ed9a24bd8636a6c26fdce372589f97ebd9b0766c63536ef45d981b9e748d76fc",
     "out.conf.pgm": "7d0b3500971941d125b3960b603765f1d973bff6f5ad0eb0b39e0a28069ea97b",
     "out.vis.ppm": "37068f2958a81483a4a846f5f31460ec9cee5e49ff7b4cadf4770d252848d873",

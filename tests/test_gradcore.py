@@ -246,27 +246,36 @@ class TestConv2dReference:
         assert x.grad[0, 0, 6].sum() > 0
 
 
-def per_tap_conv2d(x, w, b, g, stride, padding, upsample):
+def one_gap(padding, k):
+    """conv2d's gap for a k x k kernel: the zero columns after each image row
+    and the zero rows after each image."""
+    return max(padding, 2 * padding - k + 1)
+
+
+def per_tap_conv2d(x, w, b, g, stride, padding, upsample, gap):
     """conv2d's output, dx and dW for an upstream gradient g, one GEMM per
-    kernel tap on conv2d's own flat padded buffer (the same GEMM shapes, so
-    the same bits): y = sum_t W_t @ view_t in tap order, dW_t = g @ view_t.T
-    and dx += W_t.T @ g at each view. upsample=2 runs the four 2x2 phase
-    convs of the folded kernel."""
+    kernel tap on a flat buffer laid out as conv2d's, with `gap` zero columns
+    after each image row and `gap` zero rows after each image: y = sum_t W_t
+    @ view_t in tap order, dW_t = g @ view_t.T and dx += W_t.T @ g at each
+    view. With conv2d's own gap, one_gap(p, k), the GEMM shapes are conv2d's,
+    so the bits are too; gap 2p pads every image on its own. upsample=2 runs
+    the four 2x2 phase convs of the folded kernel."""
     bsz, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
     p, s = padding, stride
-    hp, wp = h + 2 * p, wd + 2 * p
-    gh, gw = (hp - kh) // s + 1, (wp - kw) // s + 1
-    grid = bsz * hp * wp
+    gh, gw = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    hq, wq = h + gap, wd + gap
+    grid = bsz * hq * wq
     n = -(-grid // 16) * 16
-    xf = np.zeros((c, n + (kh - 1) * wp + kw - 1))
-    xf[:, :grid].reshape(c, bsz, hp, wp)[:, :, p:p + h, p:p + wd] = x.transpose(1, 0, 2, 3)
+    lead = p * wq + p  # image 0's first pixel
+    xf = np.zeros((c, n + max((kh - 1) * wq + kw - 1, lead)))
+    xf[:, lead:lead + grid].reshape(c, bsz, hq, wq)[:, :, :h, :wd] = x.transpose(1, 0, 2, 3)
     if upsample == 1:
-        phases = [(..., [(w[:, :, i, j], i * wp + j) for i in range(kh) for j in range(kw)])]
+        phases = [(..., [(w[:, :, i, j], i * wq + j) for i in range(kh) for j in range(kw)])]
     else:
         wt = (gc._UP2_TAPS @ w.reshape(oc * c, 9).T).reshape(2, 2, 2, 2, oc, c)
         phases = [(np.s_[:, :, a::2, e::2],
-                   [(wt[a, e, d, f], (a + d) * wp + e + f) for d in (0, 1) for f in (0, 1)])
+                   [(wt[a, e, d, f], (a + d) * wq + e + f) for d in (0, 1) for f in (0, 1)])
                   for a in (0, 1) for e in (0, 1)]
     out = np.empty(g.shape)
     dxf, dws = np.zeros_like(xf), []
@@ -275,9 +284,9 @@ def per_tap_conv2d(x, w, b, g, stride, padding, upsample):
         y = w0 @ xf[:, off0:off0 + n]
         for wk, off in rest:
             y = y + wk @ xf[:, off:off + n]
-        out[pix] = y[:, :grid].reshape(oc, bsz, hp, wp)[:, :, :s * gh:s, :s * gw:s].transpose(1, 0, 2, 3) + b
+        out[pix] = y[:, :grid].reshape(oc, bsz, hq, wq)[:, :, :s * gh:s, :s * gw:s].transpose(1, 0, 2, 3) + b
         gf = np.zeros((oc, n))
-        gf[:, :grid].reshape(oc, bsz, hp, wp)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
+        gf[:, :grid].reshape(oc, bsz, hq, wq)[:, :, :s * gh:s, :s * gw:s] = g[pix].transpose(1, 0, 2, 3)
         for wk, off in taps:
             dws.append(gf @ xf[:, off:off + n].T)
             dxf[:, off:off + n] += wk.T @ gf
@@ -285,15 +294,13 @@ def per_tap_conv2d(x, w, b, g, stride, padding, upsample):
         dw = np.array(dws).reshape(kh, kw, oc, c).transpose(2, 3, 0, 1)
     else:
         dw = (np.array(dws).reshape(16, oc * c).T @ gc._UP2_TAPS).reshape(oc, c, 3, 3)
-    dx = dxf[:, :grid].reshape(c, bsz, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3)
+    dx = dxf[:, lead:lead + grid].reshape(c, bsz, hq, wq)[:, :, :h, :wd].transpose(1, 0, 2, 3)
     return out, dx, dw
 
 
-@pytest.mark.parametrize("batch", [None, 1], ids=["train", "eval"])
-def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
-    """The output and dW are bit-equal to one GEMM per tap, and dx within
-    1e-12, at every conv of the default network (refine.conv1 with its four
-    upsample=2 phases), at the training batch and at eval's batch 1."""
+def network_conv_calls(batch, monkeypatch):
+    """(x, w, b, stride, padding, upsample) of every conv of the default
+    network, in call order, at its training batch (batch None) or at `batch`."""
     cfg = cli.load_config(sets=[], seed=0)
     net = cfg.network_config()
     calls, real = [], network.conv2d
@@ -305,6 +312,16 @@ def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
     monkeypatch.setattr(network, "conv2d", spy)
     image = gc.Rng(1).fill_uniform((batch or cfg.batch_size, network.IMAGE_CHANNELS, net.height, net.width))
     network.forward(None, gc.Tensor(image), network.init_params(net, gc.Rng(0)))
+    monkeypatch.setattr(network, "conv2d", real)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [None, 1], ids=["train", "eval"])
+def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
+    """The output and dW are bit-equal to one GEMM per tap, and dx within
+    1e-12, at every conv of the default network (refine.conv1 with its four
+    upsample=2 phases), at the training batch and at eval's batch 1."""
+    calls = network_conv_calls(batch, monkeypatch)
     assert len(calls) == 26 and [call[-1] for call in calls].count(2) == 1
     rng = gc.Rng(2)
     for k, (xd, wd, bd, stride, padding, upsample) in enumerate(calls):
@@ -313,11 +330,32 @@ def test_every_network_conv_matches_its_per_tap_gemms(batch, monkeypatch):
         out = gc.conv2d(tape, x, w, b, stride, padding, upsample)
         g = rng.fill_uniform(out.shape, -1, 1)
         gc.backward(sum_all(tape, out, g))
-        want, dx, dw = per_tap_conv2d(xd, wd, bd, g, stride, padding, upsample)
+        want, dx, dw = per_tap_conv2d(xd, wd, bd, g, stride, padding, upsample,
+                                      one_gap(padding, wd.shape[2]))
         where = f"conv {k}: x {xd.shape}, w {wd.shape}, stride {stride}, upsample {upsample}"
         np.testing.assert_array_equal(out.data, want, err_msg=where)
         np.testing.assert_array_equal(w.grad, dw, err_msg=where)
         np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12, err_msg=where)
+
+
+@pytest.mark.parametrize("batch", [None, 1], ids=["train", "eval"])
+def test_the_one_gap_grid_moves_only_dw(batch, monkeypatch):
+    """At every network conv, the per-tap GEMMs on conv2d's one-gap grid and
+    on the grid that pads each image on its own (2p zeros between
+    neighbours) give the same output and dx bits; only dW's GEMMs, whose
+    inner dimension is the grid size, move, by at most 1e-14 of its largest
+    entry."""
+    calls = network_conv_calls(batch, monkeypatch)
+    rng = gc.Rng(3)
+    for k, (xd, wd, bd, stride, padding, upsample) in enumerate(calls):
+        g = rng.fill_uniform((xd.shape[0], wd.shape[0], upsample * xd.shape[2] // stride,
+                              upsample * xd.shape[3] // stride), -1, 1)
+        one = per_tap_conv2d(xd, wd, bd, g, stride, padding, upsample, one_gap(padding, wd.shape[2]))
+        two = per_tap_conv2d(xd, wd, bd, g, stride, padding, upsample, 2 * padding)
+        where = f"conv {k}: x {xd.shape}, w {wd.shape}, stride {stride}, upsample {upsample}"
+        np.testing.assert_array_equal(one[0], two[0], err_msg=where)
+        np.testing.assert_array_equal(one[1], two[1], err_msg=where)
+        assert np.abs(one[2] - two[2]).max() <= 1e-14 * np.abs(two[2]).max(), where
 
 
 # Runs every conv of the network (inputs drawn per conv, weights from the
