@@ -74,13 +74,10 @@ def pool_metrics(reports: list[MetricReport]) -> MetricReport:
     mean, summed in order, with rms the root of the pooled mean square."""
     n = sum(rep.pixel_count for rep in reports)
     sums = {key: 0 for key in vars(reports[0]) if key != "pixel_count"}
-    with np.errstate(over="ignore"):  # an overflow is a non-finite metric, raised below
-        for rep in reports:
-            # numpy's pow, as Python's raises on overflow; x * x would round
-            # some squares differently and move the pooled rms's last bit
-            terms = {**vars(rep), "rms": np.float64(rep.rms) ** 2}
-            for key in sums:
-                sums[key] += terms[key] * rep.pixel_count
+    for rep in reports:  # an overflow gives inf, a non-finite metric raised below
+        terms = {**vars(rep), "rms": rep.rms * rep.rms}
+        for key in sums:
+            sums[key] += terms[key] * rep.pixel_count
     pooled = {key: total / n for key, total in sums.items()}
     return _finite(MetricReport(**{**pooled, "rms": math.sqrt(pooled["rms"]), "pixel_count": n}))
 

@@ -95,6 +95,14 @@ def test_pool_weights_each_report_by_its_pixels():
     assert pooled.pixel_count == 4
 
 
+def test_pool_squares_each_rms_correctly_rounded():
+    # x * x is correctly rounded; numpy's scalar pow gives 3.544967557839694
+    # a square one ulp higher, which moves this pool's rms by one ulp.
+    a, b = 3.544967557839694, 0.939
+    pooled = pool_metrics([_report(1, 0.5, a), _report(1, 0.5, b)])
+    assert pooled.rms == math.sqrt((a * a + b * b) / 2)
+
+
 def test_a_pooled_metric_that_overflows_is_rejected():
     # 1e200 is a finite rms, but its square is not.
     with pytest.raises(MetricsError, match="^non-finite metric: rms$"):
