@@ -714,6 +714,8 @@ class TestAdam:
                 want[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + gc.ADAM_EPS)
         for name, t in params.items():
             np.testing.assert_array_equal(t.data, want[name], err_msg=name)
+        with pytest.raises(ValueError, match="packed"):
+            params.add("d.w", np.zeros((1, 1, 1, 1)))
 
     def test_missing_gradient_names_parameter(self):
         params = gc.ParamStore()
