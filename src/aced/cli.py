@@ -185,10 +185,29 @@ def _stack_batch(samples):
     return image, depth
 
 
+def _check_train_split(pairs, samples) -> None:
+    """Every image (3, H, W) and every depth (1, H, W) at the first image's H
+    and W, both multiples of 16, and every stored depth integer above 0, so
+    that each depth is positive; read from the file integers, not decoded.
+    Raises ConfigError naming the first file that breaks this."""
+    h, w = samples[0].rgb.shape[1:]
+    if h % 16 or w % 16:
+        raise ConfigError(f"{pairs[0][0]}: dimensions ({h}x{w}) must be multiples of 16")
+    for (img_path, dep_path), s in zip(pairs, samples):
+        for path, got in ((img_path, s.rgb.shape[1:]), (dep_path, s.depth_raw.shape[1:])):
+            if got != (h, w):
+                raise ConfigError(f"{path}: dimensions ({got[0]}x{got[1]}) differ from "
+                                  f"the ({h}x{w}) of {pairs[0][0]}, the split's first image")
+        if not s.depth_raw.all():
+            raise ConfigError(f"{dep_path}: {np.count_nonzero(s.depth_raw == 0)} depth "
+                              f"pixels are 0; every depth must be positive")
+
+
 def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> Path:
     """Adam with polynomial decay over the train split of the manifest,
     training the whole graph end to end on the weighted loss terms at the
-    full image size. Every batch gets photometric jitter (`augment`).
+    full image size. Every batch gets photometric jitter (`augment`). The
+    split is checked once, before the log is opened (`_check_train_split`).
 
     `--set w_log=0 --set w_grad=0` gives ordinal-only (DORN-style)
     training: the fusion and refinement parameters then get zero gradients
@@ -199,6 +218,7 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
     if not pairs:
         raise ConfigError("training split is empty")
     samples = [read_sample(img, dep) for img, dep in pairs]
+    _check_train_split(pairs, samples)
     params = init_params(cfg.network_config(), Rng(derive_seed(cfg.seed, "params")))
     rng_aug = Rng(derive_seed(cfg.seed, "augment"))
     n = len(samples)

@@ -337,9 +337,12 @@ def write_manifest(path, pairs) -> None:
 def read_manifest(path) -> list[tuple[Path, Path]]:
     base = Path(path).parent
     pairs = []
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
+            if not line.isascii():  # surrogateescape decodes a byte b above 0x7f to U+DC00 + b
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                raise ValueError(f"{path}:{lineno}: non-ASCII byte {byte:#04x}")
             if not line:
                 continue
             parts = line.split("\t")

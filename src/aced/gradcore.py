@@ -35,7 +35,6 @@ __all__ = [
     "ParamStore",
     "Rng",
     "derive_seed",
-    "scalar",
     "add",
     "scale",
     "relu",
@@ -184,11 +183,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
-
-
-def scalar(value: float) -> Tensor:
-    """A (1,1,1,1) constant tensor."""
-    return Tensor(np.full((1, 1, 1, 1), float(value)))
 
 
 class Tape:
@@ -531,27 +525,25 @@ def conv2d(
 
 
 class ParamStore:
-    """Named parameters in deterministic insertion order; all require grad.
-    pack() makes every .data a view of one flat vector and zero_grads every
-    .grad a view of another, so Adam is one vector update."""
+    """Named parameters, all requiring grad, in the order of the {name:
+    shape} map the store is built from. The store owns two zeroed vectors,
+    every value and every gradient in that order; each parameter's .data
+    and .grad are views of its slice of them for the store's whole life, so
+    backward accumulates into the gradient vector, zero_grads is one fill
+    and Adam one vector update. Write into the views, never rebind them."""
 
-    def __init__(self):
+    def __init__(self, shapes: dict[str, tuple[int, int, int, int]]):
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        self._flat, self._grad = np.zeros(sum(sizes)), np.zeros(sum(sizes))
         self._params: dict[str, Tensor] = {}
-        self._flat: np.ndarray | None = None  # every value in store order, once packed
-        self._grad: np.ndarray | None = None
-        self._grads: list[np.ndarray] = []  # each parameter's view of _grad
+        lo = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            t = Tensor(self._flat[lo:lo + size].reshape(shape), requires_grad=True)
+            t.grad = self._grad[lo:lo + size].reshape(shape)
+            self._params[name] = t
+            lo += size
         self._adam_m = self._adam_v = None  # flat moments, from the first adam_step
         self._adam_t = 0
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if self._flat is not None:
-            raise ValueError(f"cannot add {name!r}: the store is packed")
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        t.needs_grad = True
-        self._params[name] = t
-        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -562,24 +554,8 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def pack(self) -> None:
-        """Make every Tensor.data a view of one flat vector (idempotent)."""
-        if self._flat is not None:
-            return
-        size = sum(t.data.size for t in self._params.values())
-        self._flat, self._grad, lo = np.empty(size), np.zeros(size), 0
-        for t in self._params.values():
-            hi = lo + t.data.size
-            self._flat[lo:hi] = t.data.reshape(-1)
-            t.data = self._flat[lo:hi].reshape(t.shape)
-            self._grads.append(self._grad[lo:hi].reshape(t.shape))
-            lo = hi
-
     def zero_grads(self) -> None:
-        self.pack()
         self._grad.fill(0.0)
-        for t, g in zip(self._params.values(), self._grads):
-            t.grad = g
 
 
 ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator guard (Kingma & Ba)
@@ -588,14 +564,15 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(params: ParamStore, lr: float) -> None:
-    """One Adam update with bias correction over the store's flat vectors;
-    state persists on the store."""
-    params.pack()
-    for (name, p), view in zip(params.items(), params._grads):
-        if p.grad is None:
-            raise MissingGradientError(f"parameter {name!r} has no gradient")
-        if p.grad is not view:  # set by the caller, or by a backward before zero_grads
-            view[...] = p.grad
+    """One Adam update with bias correction, run once over the store's flat
+    value, gradient and moment vectors; the moments and the step count
+    persist on the store. Raises MissingGradientError, naming the first
+    parameter whose .grad is no longer its view of the gradient vector: the
+    update reads only that vector, so a replaced array would be ignored."""
+    for name, p in params.items():
+        if p.grad is None or p.grad.base is not params._grad:
+            raise MissingGradientError(
+                f"parameter {name!r}: .grad was replaced; write into the store's view instead")
     if params._adam_m is None:
         params._adam_m, params._adam_v = np.zeros_like(params._flat), np.zeros_like(params._flat)
     params._adam_t += 1

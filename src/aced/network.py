@@ -116,12 +116,14 @@ def _conv_specs(config: NetworkConfig):
 def init_params(config: NetworkConfig, rng: Rng) -> ParamStore:
     """Every parameter uniform in [-s, s] with s = sqrt(1/fan_in), where
     fan_in = inC*k*k of the owning convolution."""
-    params = ParamStore()
-    for name, oc, ic, k in _conv_specs(config):
+    specs = _conv_specs(config)
+    params = ParamStore({f"{name}.{part}": shape for name, oc, ic, k in specs
+                         for part, shape in (("w", (oc, ic, k, k)), ("b", (1, oc, 1, 1)))})
+    for name, oc, ic, k in specs:
         s = math.sqrt(1.0 / (ic * k * k))
-        params.add(f"{name}.w", rng.fill_uniform((oc, ic, k, k), -s, s))
-        params.add(f"{name}.b", rng.fill_uniform((1, oc, 1, 1), -s, s))
-    params.pack()
+        for part in ("w", "b"):
+            t = params[f"{name}.{part}"]
+            t.data[...] = rng.fill_uniform(t.shape, -s, s)
     return params
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from aced import cli, network
-from aced.data import read_manifest, read_pgm16, read_ppm, write_ppm
+from aced.data import read_manifest, read_pgm16, read_ppm, write_pgm16, write_ppm
 from aced.gradcore import Rng, Tensor, derive_seed, load_checkpoint, save_checkpoint, upsample_nearest
 from aced.metrics import MetricsError
 from aced.ordhead import pair_softmax
@@ -269,19 +269,73 @@ def test_eval_writes_no_infinity_for_an_overflowing_metric(tiny_dataset, tmp_pat
         assert sum(rec["output"] == "refined" for rec in lines) == refined_lines
 
 
+def _copy_dataset(manifest, dest):
+    dest.mkdir()
+    for path in manifest.parent.iterdir():
+        (dest / path.name).write_bytes(path.read_bytes())
+    return dest / "manifest.txt"
+
+
 def test_train_on_a_depth_map_with_a_bad_scale_is_a_usage_error(tiny_dataset, tmp_path, capsys):
     cfg, manifest = tiny_dataset
-    data = tmp_path / "data"
-    data.mkdir()
-    for path in manifest.parent.iterdir():
-        (data / path.name).write_bytes(path.read_bytes())
-    bad = data / "scene_00000.pgm"
+    copy = _copy_dataset(manifest, tmp_path / "data")
+    bad = copy.parent / "scene_00000.pgm"
     head, _, rest = bad.read_bytes().partition(b"\n# scale ")
     bad.write_bytes(head + b"\n# scale nan" + rest[rest.index(b"\n"):])
     ckpt = tmp_path / "never.ckpt"
-    assert cli.main(["train", *_sets(), str(data / "manifest.txt"), str(ckpt)]) == 1
+    assert cli.main(["train", *_sets(), str(copy), str(ckpt)]) == 1
     assert f"error: {bad}: bad scale 'nan'" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_a_non_ascii_manifest_byte_is_named_by_path_and_line(tiny_dataset, tmp_path, capsys):
+    _, manifest = tiny_dataset
+    copy = _copy_dataset(manifest, tmp_path / "data")
+    lines = copy.read_bytes().split(b"\n")
+    lines[2] = b"scene\xf9" + lines[2]
+    copy.write_bytes(b"\n".join(lines))
+    ckpt = tmp_path / "never.ckpt"
+    for args in (["train", *_sets(), str(copy), str(ckpt)],
+                 ["eval", *_sets(), str(ckpt), str(copy)]):
+        assert cli.main(args) == 1
+        assert f"error: {copy}:3: non-ASCII byte 0xf9" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [copy.parent]
+
+
+def _resize_pair(data, index, image=True, depth=True):
+    """Scene `index` rewritten at 32x32, its image, its depth or both."""
+    if image:
+        write_ppm(data / f"scene_{index:05d}.ppm", np.full((3, 32, 32), 0.5))
+    if depth:
+        write_pgm16(data / f"scene_{index:05d}.pgm", np.full((1, 32, 32), 2.0), 1e-3)
+    return data / f"scene_{index:05d}.{'ppm' if image else 'pgm'}", "(32x32) differ from the (16x16)"
+
+
+def _zero_depth_pixel(data, index):
+    path = data / f"scene_{index:05d}.pgm"
+    depth, scale = read_pgm16(path)
+    depth[0, 3, 5] = 0.0
+    write_pgm16(path, depth, scale)
+    return path, "1 depth pixels are 0"
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda data: _resize_pair(data, 5),
+    lambda data: _resize_pair(data, 7, image=False),
+    lambda data: _zero_depth_pixel(data, 11),
+], ids=["pair_of_another_size", "depth_of_another_size", "zero_depth_pixel"])
+def test_train_refuses_a_split_that_does_not_fit_before_its_first_step(tiny_dataset, tmp_path,
+                                                                     capsys, spoil):
+    # Scenes 5, 7 and 11 lie in the train split; at batch 4 the first is
+    # read at iteration 1 and the last at iteration 2, after the log opened.
+    _, manifest = tiny_dataset
+    copy = _copy_dataset(manifest, tmp_path / "data")
+    path, problem = spoil(copy.parent)
+    ckpt = tmp_path / "never.ckpt"
+    assert cli.main(["train", *_sets(), str(copy), str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and problem in err
+    assert sorted(tmp_path.iterdir()) == [copy.parent]
 
 
 def test_a_checkpoint_trained_at_another_width_is_rejected(tiny_dataset, tmp_path, capsys):

@@ -38,7 +38,7 @@ class TestTensor:
     def test_item_requires_scalar(self):
         with pytest.raises(gc.ShapeMismatchError):
             t4(np.zeros((1, 2, 1, 1))).item()
-        assert gc.scalar(2.5).item() == 2.5
+        assert gc.Tensor(np.full((1, 1, 1, 1), 2.5)).item() == 2.5
 
 
 class TestConv2d:
@@ -471,7 +471,7 @@ class TestSliceChannels:
 
 class TestUpsample:
     def test_single_pixel_replication(self):
-        out = gc.upsample_nearest(None, gc.scalar(5.0), 2)
+        out = gc.upsample_nearest(None, gc.Tensor(np.full((1, 1, 1, 1), 5.0)), 2)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 5.0))
 
     def test_factor_one_is_identity(self):
@@ -566,7 +566,7 @@ class TestBackward:
 
     def test_detached_loss_rejected(self):
         with pytest.raises(gc.TapeError, match="detached"):
-            gc.backward(gc.scalar(1.0))
+            gc.backward(gc.Tensor(np.full((1, 1, 1, 1), 1.0)))
 
     def test_repeated_backward_rejected(self):
         x = t4(np.ones((1, 1, 1, 1)), requires_grad=True)
@@ -659,25 +659,28 @@ def test_primitive_gradients_ten_seeds(seed):
 
 class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):
-        params = gc.ParamStore()
-        p = params.add("p", np.full((1, 1, 1, 1), 1.5))
+        params = gc.ParamStore({"p": (1, 1, 1, 1)})
+        p = params["p"]
+        p.data[...] = 1.5
         params.zero_grads()
         gc.adam_step(params, lr=0.01)
         assert p.data[0, 0, 0, 0] == 1.5
 
     def test_constant_gradient_moves_against_sign(self):
-        params = gc.ParamStore()
-        p = params.add("p", np.array([[[[1.0, 1.0]]]]))
+        params = gc.ParamStore({"p": (1, 1, 1, 2)})
+        p = params["p"]
+        p.data[...] = 1.0
         for _ in range(40):
-            p.grad = np.array([[[[1.0, -1.0]]]])
+            p.grad[...] = np.array([[[[1.0, -1.0]]]])
             gc.adam_step(params, lr=0.01)
         assert p.data[0, 0, 0, 0] < 1.0 < p.data[0, 0, 0, 1]
 
     def test_single_step_matches_hand_recurrence(self):
         lr, b1, b2, eps = 2e-4, 0.9, 0.999, 1e-8
-        params = gc.ParamStore()
-        p = params.add("p", np.full((1, 1, 1, 1), 1.0))
-        p.grad = np.full((1, 1, 1, 1), 1.0)
+        params = gc.ParamStore({"p": (1, 1, 1, 1)})
+        p = params["p"]
+        p.data[...] = 1.0
+        p.grad[...] = 1.0
         gc.adam_step(params, lr)
         # independent recurrence: m=0.1 -> mhat=1; v=0.001 -> vhat=1
         m = (1 - b1) * 1.0
@@ -687,12 +690,13 @@ class TestAdam:
 
     def test_flat_update_is_the_per_parameter_update(self):
         """Three steps on a three-tensor store, one of whose gradients the
-        caller replaces, give the bits of Adam run one tensor at a time."""
+        caller writes in place of the one backward accumulated, give the
+        bits of Adam run one tensor at a time."""
         rng, lr = gc.Rng(11), 3e-3
         shapes = {"a.w": (2, 3, 3, 3), "a.b": (1, 2, 1, 1), "c.w": (1, 2, 1, 1)}
-        params = gc.ParamStore()
-        for name, shape in shapes.items():
-            params.add(name, rng.fill_uniform(shape, -1, 1))
+        params = gc.ParamStore(shapes)
+        for name, t in params.items():
+            t.data[...] = rng.fill_uniform(shapes[name], -1, 1)
         want = {name: t.data.copy() for name, t in params.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -701,7 +705,7 @@ class TestAdam:
             grads = {name: rng.fill_uniform(shape, -1, 1) for name, shape in shapes.items()}
             for name, t in params.items():
                 if name == "a.b":
-                    t.grad = grads[name]
+                    t.grad[...] = grads[name]
                 else:
                     t.grad += grads[name]
             gc.adam_step(params, lr)
@@ -714,14 +718,32 @@ class TestAdam:
                 want[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + gc.ADAM_EPS)
         for name, t in params.items():
             np.testing.assert_array_equal(t.data, want[name], err_msg=name)
-        with pytest.raises(ValueError, match="packed"):
-            params.add("d.w", np.zeros((1, 1, 1, 1)))
 
     def test_missing_gradient_names_parameter(self):
-        params = gc.ParamStore()
-        params.add("enc.w", np.zeros((1, 1, 1, 1)))
-        with pytest.raises(gc.MissingGradientError, match="enc.w"):
-            gc.adam_step(params, lr=0.01)
+        # Adam reads only the store's gradient vector, so a .grad rebound to
+        # another array would be ignored; a None one likewise.
+        for grad in (np.ones((1, 1, 1, 1)), None):
+            params = gc.ParamStore({"enc.b": (1, 1, 1, 1), "enc.w": (1, 1, 1, 1)})
+            params["enc.w"].grad = grad
+            with pytest.raises(gc.MissingGradientError, match="'enc.w'"):
+                gc.adam_step(params, lr=0.01)
+            assert params["enc.w"].data[0, 0, 0, 0] == params["enc.b"].data[0, 0, 0, 0] == 0.0
+
+
+def test_init_params_tensors_are_views_of_the_two_vectors():
+    """Each parameter's .data and .grad are its slice of the store's value
+    and gradient vectors, in store order, back to back with no overlap."""
+    params = network.init_params(network.NetworkConfig(k_levels=4, height=16, width=16),
+                                 gc.Rng(3))
+    lo = 0
+    for name, t in params.items():
+        hi = lo + t.data.size
+        for view, flat in ((t.data, params._flat), (t.grad, params._grad)):
+            assert view.base is flat, name
+            assert view.ctypes.data == flat[lo:hi].ctypes.data, name
+            assert view.flags.c_contiguous, name
+        lo = hi
+    assert lo == params._flat.size == params._grad.size
 
 
 class TestPolyLr:
@@ -770,9 +792,9 @@ class TestRng:
 class TestCheckpoint:
     def _store(self):
         rng = gc.Rng(42)
-        params = gc.ParamStore()
-        params.add("a.w", rng.fill_uniform((2, 3, 3, 3), -1, 1))
-        params.add("a.b", rng.fill_uniform((1, 2, 1, 1), -1, 1))
+        params = gc.ParamStore({"a.w": (2, 3, 3, 3), "a.b": (1, 2, 1, 1)})
+        for _, t in params.items():
+            t.data[...] = rng.fill_uniform(t.shape, -1, 1)
         return params
 
     def test_round_trip_is_exact(self, tmp_path):
@@ -785,8 +807,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(other["a.w"].data, params["a.w"].data)
 
     def test_format_layout(self, tmp_path):
-        params = gc.ParamStore()
-        params.add("p", np.full((1, 1, 1, 1), 1.0))
+        params = gc.ParamStore({"p": (1, 1, 1, 1)})
+        params["p"].data[...] = 1.0
         path = tmp_path / "ck.bin"
         gc.save_checkpoint(params, path)
         raw = path.read_bytes()
@@ -818,9 +840,7 @@ class TestCheckpoint:
         params = self._store()
         path = tmp_path / "ck.bin"
         gc.save_checkpoint(params, path)
-        other = gc.ParamStore()
-        other.add("z.w", np.zeros((2, 3, 3, 3)))
-        other.add("z.b", np.zeros((1, 2, 1, 1)))
+        other = gc.ParamStore({"z.w": (2, 3, 3, 3), "z.b": (1, 2, 1, 1)})
         with pytest.raises(gc.CheckpointError, match="order mismatch"):
             gc.load_checkpoint(other, path)
 
@@ -837,10 +857,11 @@ def test_training_steps_are_bit_deterministic():
     """Same seed, same config, same number of steps: identical parameters."""
     def run():
         rng = gc.Rng(gc.derive_seed(5, "det"))
-        params = gc.ParamStore()
-        x = params.add("x", rng.fill_uniform((1, 2, 4, 4), -1, 1))
-        w = params.add("w", rng.fill_uniform((2, 2, 3, 3), -0.5, 0.5))
-        b = params.add("b", rng.fill_uniform((1, 2, 1, 1), -0.5, 0.5))
+        params = gc.ParamStore({"x": (1, 2, 4, 4), "w": (2, 2, 3, 3), "b": (1, 2, 1, 1)})
+        x, w, b = params["x"], params["w"], params["b"]
+        x.data[...] = rng.fill_uniform(x.shape, -1, 1)
+        w.data[...] = rng.fill_uniform(w.shape, -0.5, 0.5)
+        b.data[...] = rng.fill_uniform(b.shape, -0.5, 0.5)
         probe = rng.fill_uniform((1, 2, 4, 4), -1, 1)
         for _ in range(5):
             tape = gc.Tape()
