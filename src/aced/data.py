@@ -11,6 +11,7 @@ seeded noise), so depth is inferable from appearance.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,54 +188,10 @@ def write_pgm16(path, values: np.ndarray, scale: float) -> None:
         f.write(raw.tobytes())
 
 
-class _HeaderReader:
-    """Tokenizer for netpbm headers; collects '#' comment lines."""
-
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-        self.comments: list[str] = []
-
-    def token(self) -> str:
-        buf, n = self.buf, len(self.buf)
-        while self.pos < n:
-            ch = buf[self.pos:self.pos + 1]
-            if ch == b"#":
-                end = buf.find(b"\n", self.pos)
-                if end < 0:
-                    raise MalformedHeaderError(f"{self.path}: unterminated comment")
-                self.comments.append(buf[self.pos + 1:end].decode("ascii", "replace").strip())
-                self.pos = end + 1
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                break
-        start = self.pos
-        while self.pos < n and not buf[self.pos:self.pos + 1].isspace():
-            self.pos += 1
-        if start == self.pos:
-            raise MalformedHeaderError(f"{self.path}: truncated header")
-        return buf[start:self.pos].decode("ascii", "replace")
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise MalformedHeaderError(f"{self.path}: bad {what} {tok!r}") from None
-
-    def payload(self, nbytes: int) -> bytes:
-        # exactly one whitespace byte separates maxval from the raster
-        self.pos += 1
-        data = self.buf[self.pos:self.pos + nbytes]
-        if len(data) != nbytes:
-            raise TruncatedPayloadError(
-                f"{self.path}: payload has {len(data)} of {nbytes} bytes"
-            )
-        if self.pos + nbytes != len(self.buf):
-            raise MalformedHeaderError(f"{self.path}: trailing bytes after raster")
-        return data
+# Whitespace and '#' comment lines, then one header token: a run of bytes up
+# to the next whitespace that does not start with '#'.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)?")
+_COMMENT = re.compile(rb"#([^\n]*)\n")
 
 
 def _read_netpbm(path, magic: str, maxval: int, sample: str, channels: int) -> tuple[np.ndarray, list[str]]:
@@ -243,18 +200,36 @@ def _read_netpbm(path, magic: str, maxval: int, sample: str, channels: int) -> t
     one sample ('u1' or '>u2')."""
     with open(path, "rb") as f:
         buf = f.read()
-    r = _HeaderReader(buf, path)
-    got = r.token()
-    if got != magic:
-        raise MalformedHeaderError(f"{path}: expected {magic}, got {got!r}")
-    w = r.int_token("width")
-    h = r.int_token("height")
-    got = r.int_token("maxval")
+    pos, fields = 0, []
+    for what in ("magic", "width", "height", "maxval"):
+        m = _HEADER_TOKEN.match(buf, pos)
+        pos = m.end()
+        if m[1] is None:
+            problem = "unterminated comment" if buf.startswith(b"#", pos) else "truncated header"
+            raise MalformedHeaderError(f"{path}: {problem}")
+        tok = m[1].decode("ascii", "replace")
+        if what == "magic":
+            if tok != magic:
+                raise MalformedHeaderError(f"{path}: expected {magic}, got {tok!r}")
+            continue
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise MalformedHeaderError(f"{path}: bad {what} {tok!r}") from None
+    w, h, got = fields
     if got != maxval:
         raise MalformedHeaderError(f"{path}: unsupported maxval {got}")
+    comments = [c.decode("ascii", "replace").strip() for c in _COMMENT.findall(buf, 0, pos)]
     dtype = np.dtype(sample)
-    raw = np.frombuffer(r.payload(channels * h * w * dtype.itemsize), dtype=dtype)
-    return raw.reshape(h, w, channels).transpose(2, 0, 1), r.comments
+    nbytes = channels * h * w * dtype.itemsize
+    pos += 1  # exactly one whitespace byte separates maxval from the raster
+    data = buf[pos:pos + nbytes]
+    if len(data) != nbytes:
+        raise TruncatedPayloadError(f"{path}: payload has {len(data)} of {nbytes} bytes")
+    if pos + nbytes != len(buf):
+        raise MalformedHeaderError(f"{path}: trailing bytes after raster")
+    raw = np.frombuffer(data, dtype=dtype)
+    return raw.reshape(h, w, channels).transpose(2, 0, 1), comments
 
 
 def _decode_ppm(raw: np.ndarray) -> np.ndarray:

@@ -619,11 +619,16 @@ def save_checkpoint(params: ParamStore, path) -> None:
         f.write(b"".join(chunks))
 
 
-def _read_line(buf: bytes, pos: int, what: str) -> tuple[str, int]:
+def _read_line(buf: bytes, pos: int, what: str, path) -> tuple[str, int]:
     end = buf.find(b"\n", pos)
     if end < 0:
-        raise CheckpointError(f"unterminated {what} line at byte {pos}")
-    return buf[pos:end].decode(), end + 1
+        raise CheckpointError(f"{path}: unterminated {what} line at byte {pos}")
+    try:
+        return buf[pos:end].decode(), end + 1
+    except UnicodeDecodeError as e:
+        at = pos + e.start
+        raise CheckpointError(f"{path}: non-UTF-8 byte {buf[at]:#04x} in {what} line "
+                              f"at byte {at}") from None
 
 
 def load_checkpoint(params: ParamStore, path) -> None:
@@ -640,12 +645,12 @@ def load_checkpoint(params: ParamStore, path) -> None:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     pos = len(CHECKPOINT_MAGIC)
     for name, t in params.items():
-        got_name, pos = _read_line(buf, pos, "name")
+        got_name, pos = _read_line(buf, pos, "name", path)
         if got_name != name:
             raise CheckpointError(
                 f"{path}: parameter order mismatch, expected {name!r} got {got_name!r}"
             )
-        shape_line, pos = _read_line(buf, pos, "shape")
+        shape_line, pos = _read_line(buf, pos, "shape", path)
         try:
             shape = tuple(int(v) for v in shape_line.split())
         except ValueError:

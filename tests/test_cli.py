@@ -7,10 +7,10 @@ removed config key, a depth map whose scale is not finite and positive, an
 eval output with non-positive depth or non-finite metrics (naming the image
 and the output, after writing every pair that scored) or an aggregate that
 overflows, an infer output with non-positive or non-finite depth (writing
-no file), a checkpoint with a non-finite value or one trained at another k
-or width, and 2 for a failed gradient check or diverged training (naming
-the first non-finite tape node and the partial log); eval's hard decode is
-that of the upsampled head."""
+no file), a checkpoint with a non-finite value, a non-UTF-8 byte (named by
+path and offset) or one trained at another k or width, and 2 for a failed
+gradient check or diverged training (naming the first non-finite tape node
+and the partial log); eval's hard decode is that of the upsampled head."""
 
 import hashlib
 import json
@@ -363,6 +363,28 @@ def test_non_finite_checkpoint_is_rejected_by_eval_and_infer(tiny_dataset, tmp_p
                  ["infer", *_sets(), str(ckpt), str(image), str(out_dir / "x")]):
         assert cli.main(args) == 1
         assert f"{ckpt}: non-finite value in 'refine.conv2.b'" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", ["name", "shape"])
+def test_a_non_utf8_checkpoint_byte_is_named_by_path_and_offset(tiny_dataset, tmp_path, capsys,
+                                                                line):
+    cfg, manifest = tiny_dataset
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    ckpt = _checkpoint_with_refine_bias(cfg, tmp_path / "bad.ckpt", 0.0)
+    raw = bytearray(ckpt.read_bytes())
+    at = raw.index(b"\n") + 1  # the first name line
+    if line == "shape":
+        at = raw.index(b"\n", at) + 1
+    raw[at] = 0xFF
+    ckpt.write_bytes(raw)
+    image = manifest.parent / "scene_00000.ppm"
+    for args in (["eval", *_sets(), str(ckpt), str(manifest), "--out", str(out_dir / "m.jsonl")],
+                 ["infer", *_sets(), str(ckpt), str(image), str(out_dir / "x")]):
+        assert cli.main(args) == 1
+        assert f"error: {ckpt}: non-UTF-8 byte 0xff in {line} line at byte {at}" in \
+            capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
 
 

@@ -3,6 +3,7 @@ a held split takes, the scene generator's determinism and range, and
 augmentation: identity parameters, the stream positions one call takes, and
 independence from the image's memory layout."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,36 @@ class TestFormatErrors:
         path = _write(tmp_path, "a.pgm", f"P5\n# scale {scale}\n1 1\n65535\n".encode() + bytes(2))
         with pytest.raises(MalformedHeaderError, match=f"^{path}: bad scale '{scale}'"):
             read_pgm16(path)
+
+    # A 2x1 depth map whose raw values are 1 and 2; `want` is its scale, or
+    # the message that follows "<path>: ".
+    @pytest.mark.parametrize("data, want", [
+        (b"# lead\nP5 # after magic\n# scale 0.25\n2\n# w\n1 # h\n# maxval next\n65535\n", 0.25),
+        *[(b"P5%s# scale 0.25\n2%s1%s65535%s" % (sep, sep, sep, sep), 0.25)
+          for sep in (b"\t", b"\r", b"\x0b", b"\x0c")],
+        (b"P5\n# scale 0.5\n# scale 0.25\n2 1\n65535\n", 0.25),
+        (b"P5\n# scale 0.25\n1#2 1\n65535\n", "bad width '1#2'"),
+        (b"P5\n# scale 0.25\n2 1\n# no newline", "unterminated comment"),
+        (b"", "truncated header"),
+        (b"P5\n# scale 0.25\n2 1\n", "truncated header"),
+    ], ids=["comments", "tab", "cr", "vt", "ff", "last_scale_wins", "hash_in_width",
+            "unterminated_comment", "empty", "cut_after_height"])
+    def test_header_tokens_and_comments(self, tmp_path, data, want):
+        pgm = _write(tmp_path, "a.pgm", data + (b"\x00\x01\x00\x02" if want == 0.25 else b""))
+        ppm = _write(tmp_path, "a.ppm", b"P6\n2 1\n255\n" + bytes(6))
+
+        def via_sample(path):
+            sample = read_sample(ppm, path)
+            return sample.depth, sample.scale
+
+        for read in (read_pgm16, via_sample):
+            if isinstance(want, float):
+                depth, scale = read(pgm)
+                assert scale == want
+                np.testing.assert_array_equal(depth, np.array([[[1.0, 2.0]]]) * want)
+            else:
+                with pytest.raises(MalformedHeaderError, match=f"^{re.escape(f'{pgm}: {want}')}$"):
+                    read(pgm)
 
 
 class TestReadSample:

@@ -836,6 +836,12 @@ class TestCheckpoint:
         with pytest.raises(gc.CheckpointError, match="truncated"):
             gc.load_checkpoint(self._store(), path)
 
+    def test_unterminated_line_names_the_path(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(gc.CHECKPOINT_MAGIC + b"a.w\n2 3")
+        with pytest.raises(gc.CheckpointError, match=f"^{path}: unterminated shape line at byte 10$"):
+            gc.load_checkpoint(self._store(), path)
+
     def test_name_mismatch_rejected(self, tmp_path):
         params = self._store()
         path = tmp_path / "ck.bin"
