@@ -29,16 +29,6 @@ def loss_log(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
     return out
 
 
-def _forward_diff(a: np.ndarray, axis: int) -> np.ndarray:
-    """Forward difference with replicate edge, so the last slice is 0."""
-    out = np.zeros_like(a)
-    if axis == 3:
-        out[:, :, :, :-1] = a[:, :, :, 1:] - a[:, :, :, :-1]
-    else:
-        out[:, :, :-1, :] = a[:, :, 1:, :] - a[:, :, :-1, :]
-    return out
-
-
 def loss_grad(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
     """Log-absolute loss on forward-difference gradients along x and y.
 
@@ -52,7 +42,9 @@ def loss_grad(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
     total = 0.0
     terms = []  # (axis, err, abs_off)
     for axis in (3, 2):  # x then y
-        err = _forward_diff(d.data, axis) - _forward_diff(d_gt, axis)
+        # appending the last slice makes the last difference exactly 0
+        err = (np.diff(d.data, axis=axis, append=d.data.take([-1], axis=axis))
+               - np.diff(d_gt, axis=axis, append=d_gt.take([-1], axis=axis)))
         abs_off = np.abs(err) + 0.5
         total += np.log(abs_off).sum() / count
         terms.append((axis, err, abs_off))
@@ -62,13 +54,10 @@ def loss_grad(tape: Tape | None, d: Tensor, d_gt: np.ndarray) -> Tensor:
             gs = float(g.reshape(()))
             acc = np.zeros_like(d.data)
             for axis, err, abs_off in terms:
-                u = (gs / count) * np.sign(err) / abs_off
-                if axis == 3:
-                    acc[:, :, :, 1:] += u[:, :, :, :-1]
-                    acc[:, :, :, :-1] -= u[:, :, :, :-1]
-                else:
-                    acc[:, :, 1:, :] += u[:, :, :-1, :]
-                    acc[:, :, :-1, :] -= u[:, :, :-1, :]
+                u = np.moveaxis((gs / count) * np.sign(err) / abs_off, axis, -1)
+                a = np.moveaxis(acc, axis, -1)  # a view: writes land in acc
+                a[..., 1:] += u[..., :-1]
+                a[..., :-1] -= u[..., :-1]
             _accum(d, acc)
         tape.record("loss_grad", (d,), out, bwd)
     return out

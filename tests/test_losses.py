@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aced import gradcore as gc
+from aced.gradcheck import check_gradients
 from aced.losses import loss_grad, loss_log, total_loss
 from aced.ordhead import ordinal_loss
 from aced.sid import encode_rank
@@ -77,6 +78,34 @@ def test_loss_grad_counts_the_zero_difference_edge():
     y00, y01 = 1 / 2.5 / 4, 1 / 3.5 / 4
     expect = np.array([[[[-x00 - y00, x00 - y01], [-x10 + y00, x10 + y01]]]])
     np.testing.assert_allclose(d.grad, expect, rtol=1e-14)
+
+
+def test_loss_grad_on_a_non_square_map_matches_a_loop_over_pixels():
+    # 3 rows by 6 columns, so an x difference taken along y (or the reverse)
+    # changes the value and the gradient.
+    rng = gc.Rng(gc.derive_seed(0, "loss_grad_non_square"))
+    d = gc.Tensor(rng.fill_uniform((2, 1, 3, 6), 0.6, 7.0), requires_grad=True)
+    gt = rng.fill_uniform((2, 1, 3, 6), 0.6, 7.0)
+    b, _, h, w = d.shape
+    want, want_grad = 0.0, np.zeros(d.shape)
+    for n in range(b):
+        for y in range(h):
+            for x in range(w):
+                for dy, dx in ((0, 1), (1, 0)):  # x then y
+                    y1, x1 = min(y + dy, h - 1), min(x + dx, w - 1)
+                    e = (d.data[n, 0, y1, x1] - d.data[n, 0, y, x]) - (gt[n, 0, y1, x1] - gt[n, 0, y, x])
+                    want += math.log(abs(e) + 0.5) / d.data.size
+                    u = np.sign(e) / (abs(e) + 0.5) / d.data.size
+                    want_grad[n, 0, y1, x1] += u
+                    want_grad[n, 0, y, x] -= u
+    tape = gc.Tape()
+    loss = loss_grad(tape, d, gt)
+    assert loss.item() == pytest.approx(want, rel=1e-13)
+    gc.backward(loss)
+    np.testing.assert_allclose(d.grad, want_grad, rtol=1e-12, atol=1e-15)
+    d.grad = None
+    assert check_gradients(lambda t: loss_grad(t, d, gt), [d], rng.spawn("fd"),
+                           max_entries=36) < 1e-4
 
 
 def test_loss_log_is_a_mean_over_pixels():
