@@ -212,10 +212,10 @@ def _read_netpbm(path, magic: str, maxval: int, sample: str, channels: int) -> t
             if tok != magic:
                 raise MalformedHeaderError(f"{path}: expected {magic}, got {tok!r}")
             continue
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise MalformedHeaderError(f"{path}: bad {what} {tok!r}") from None
+        # ASCII decimal digits, and not 0: int() alone takes '+2', '1_0' and '-1'
+        if not (tok.isascii() and tok.isdigit()) or int(tok) == 0:
+            raise MalformedHeaderError(f"{path}: bad {what} {tok!r}")
+        fields.append(int(tok))
     w, h, got = fields
     if got != maxval:
         raise MalformedHeaderError(f"{path}: unsupported maxval {got}")

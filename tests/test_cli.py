@@ -582,6 +582,17 @@ def test_infer_rejects_a_size_that_is_not_a_multiple_of_16(tiny_dataset, tmp_pat
     assert sorted(tmp_path.iterdir()) == [ckpt, image]
 
 
+def test_infer_names_a_0x0_image(tiny_dataset, tmp_path, capsys):
+    cfg, _ = tiny_dataset
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(network.init_params(cfg.network_config(), Rng(0)), ckpt)
+    image = tmp_path / "empty.ppm"
+    image.write_bytes(b"P6\n0 0\n255\n")
+    assert cli.main(["infer", *_sets(), str(ckpt), str(image), str(tmp_path / "out")]) == 1
+    assert f"error: {image}: bad width '0'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [image, ckpt]
+
+
 def test_infer_visualization_is_the_render_of_its_depth(tiny_dataset, tmp_path):
     cfg, manifest = tiny_dataset
     ckpt, _ = _train(cfg, manifest, tmp_path)

@@ -136,6 +136,26 @@ class TestFormatErrors:
                     read(pgm)
 
 
+    # Width, height and maxval are ASCII decimal digits and at least 1; `{m}`
+    # is the reader's maxval. Every other field of the 2x1 header is valid.
+    @pytest.mark.parametrize("what, tok", [
+        ("width", "1_0"), ("width", "+2"), ("width", "-1"), ("width", "0"), ("width", "2.0"),
+        ("width", "\u0662"), ("height", "0"), ("height", "-1"), ("maxval", "+{m}"),
+        ("maxval", "{m}_0"), ("maxval", "0"),
+    ], ids=["underscore", "plus", "negative", "zero", "decimal_point", "non_ascii_digit",
+            "zero_height", "negative_height", "plus_maxval", "underscore_maxval", "zero_maxval"])
+    def test_header_integers_are_plain_decimal_and_positive(self, tmp_path, what, tok):
+        for read, magic, maxval, payload in ((read_ppm, "P6", 255, bytes(6)),
+                                             (read_pgm16, "P5\n# scale 1.0", 65535, bytes(4))):
+            fields = {"width": "2", "height": "1", "maxval": str(maxval)}
+            fields[what] = tok.format(m=maxval)
+            path = _write(tmp_path, "a.pnm", "{}\n{width} {height}\n{maxval}\n".format(
+                magic, **fields).encode() + payload)
+            bad = fields[what].encode().decode("ascii", "replace")
+            with pytest.raises(MalformedHeaderError, match=f"^{re.escape(f'{path}: bad {what} {bad!r}')}$"):
+                read(path)
+
+
 class TestReadSample:
     def test_decodes_to_the_arrays_of_the_readers(self, tmp_path):
         _, ppm, pgm = _write_scene(tmp_path, 1)
