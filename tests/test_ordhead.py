@@ -288,6 +288,20 @@ class TestConfidence:
             assert abs(closed - numeric) < 1e-6
             assert 0.0 <= closed <= 1.0
 
+    def test_a_label_of_its_own_against_oracle(self):
+        # p as an input of its own, not the sum of the probabilities: at 0,
+        # at every integer, at K-1 and at random points of [0, K-1].
+        rng = gc.Rng(79)
+        for _ in range(20):
+            k = rng.randint(2, 12)
+            vec = rng.fill_uniform((k - 1,))
+            labels = [float(i) for i in range(k)] + [rng.next_float() * (k - 1) for _ in range(5)]
+            probs = gc.Tensor(np.broadcast_to(vec.reshape(1, -1, 1, 1), (1, k - 1, 1, len(labels))))
+            p = gc.Tensor(np.array(labels).reshape(1, 1, 1, -1))
+            got = confidence(None, probs, p).data.reshape(-1)
+            for closed, label in zip(got, labels):
+                assert abs(closed - conf_numeric_oracle(vec, label)) < 1e-6
+
     def test_non_step_vectors_score_strictly_less_than_one(self):
         rng = gc.Rng(78)
         for _ in range(100):
@@ -313,6 +327,17 @@ class TestConfidence:
             p = expected_label(tape, probs)
             return project(tape, confidence(tape, probs, p), probe)
         assert check_gradients(build, [z], rng.spawn("s")) < 1e-4
+
+    def test_gradient_to_probabilities_and_a_label_of_its_own(self):
+        # p off the integers, where C has no kink in p.
+        rng = gc.Rng(42)
+        probs = gc.Tensor(rng.fill_uniform((2, 5, 3, 3)), requires_grad=True)
+        bins = np.array([rng.randint(0, 4) for _ in range(18)]).reshape(2, 1, 3, 3)
+        p = gc.Tensor(bins + rng.fill_uniform((2, 1, 3, 3), 0.1, 0.9), requires_grad=True)
+        probe = rng.fill_uniform((2, 1, 3, 3))
+        def build(tape):
+            return project(tape, confidence(tape, probs, p), probe)
+        assert check_gradients(build, [probs, p], rng.spawn("s"), max_entries=90) < 1e-4
 
 
 def soft_decode(tape, probs):
