@@ -110,34 +110,25 @@ def confidence(tape: Tape | None, probs: Tensor, p: Tensor) -> Tensor:
 
         C = ( integral_0^p f  +  integral_p^{K-1} (1 - f) ) / (K - 1)
 
-    Both integrals are evaluated exactly on the unit bins with a fractional
-    split at p, so C is 1 exactly on binary step vectors and differentiable
-    through the curve and through p.
+    Bin k has the share s_k = clip(p - k, 0, 1) below p, so
+    C = sum_k [P^k s_k + (1 - P^k)(1 - s_k)] / (K - 1): 1 exactly on binary
+    step vectors, and NaN where p is NaN.
     """
     b, c, h, w = probs.shape
     if p.shape != (b, 1, h, w):
         raise ShapeMismatchError(f"confidence: p shape {p.shape} != ({b},1,{h},{w})")
     km1 = float(c)
-    # bin holding p; fmax/fmin put a NaN p in bin 0, so C comes out NaN
-    m = np.fmin(np.fmax(np.floor(p.data), 0), c - 1).astype(np.int64)
-    r = p.data - m
-    pm = np.take_along_axis(probs.data, m, axis=1)
-    prefix = np.cumsum(probs.data, axis=1)
-    total = prefix[:, -1:, :, :]
-    below = np.take_along_axis(np.concatenate(
-        [np.zeros((b, 1, h, w)), prefix], axis=1), m, axis=1)  # sum_{k<m} P^k
-    # integral_0^p f = below + r*pm ; integral_p^{K-1} (1-f) expands to
-    # (K-1-m) - (total-below) - r + r*pm.
-    c_data = (2.0 * below + 2.0 * r * pm + (km1 - m) - total - r) / km1
-    out = Tensor(c_data)
+    t = p.data - np.arange(c).reshape(1, c, 1, 1)
+    s = np.clip(t, 0.0, 1.0)
+    out = Tensor((probs.data * s + (1.0 - probs.data) * (1.0 - s)).sum(axis=1, keepdims=True) / km1)
     if tape is not None and (probs.needs_grad or p.needs_grad):
-        ks = np.arange(c).reshape(1, c, 1, 1)
         def bwd(g):
             gn = g / km1
             if probs.needs_grad:
-                coef = np.where(ks < m, 1.0, np.where(ks == m, 2.0 * r - 1.0, -1.0))
-                _accum(probs, gn * coef)
+                _accum(probs, gn * (2.0 * s - 1.0))
             if p.needs_grad:
-                _accum(p, gn * (2.0 * pm - 1.0))
+                # only the bin m that holds p (0 <= p - m < 1) has ds/dp = 1
+                held = (t >= 0.0) & (t < 1.0)
+                _accum(p, gn * np.where(held, 2.0 * probs.data - 1.0, 0.0).sum(axis=1, keepdims=True))
         tape.record("confidence", (probs, p), out, bwd)
     return out
