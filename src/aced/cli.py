@@ -3,7 +3,9 @@ image inference, gradient checking and depth-map rendering, all driven by a
 flat key=value config with deterministic seeded behaviour.
 
 Config precedence is defaults < --set overrides (in order) < an explicit
---seed flag. Exit codes: 0 success, 1 usage error, 2 numerical failure.
+--seed flag. A command takes only the flags it reads: --seed on gen-data,
+train and grad-check, --set on every command but render and grad-check.
+Exit codes: 0 success, 1 usage error, 2 numerical failure.
 The depth range is the constant sid.DEPTH_RANGE, since a checkpoint means it.
 """
 
@@ -90,8 +92,6 @@ _SCHEMA: dict[str, tuple] = {
     "num_scenes": (int, 256),
     "holdout": (int, 32),
 }
-
-LR_POWER = 0.9  # power of the polynomial learning-rate decay, as in DORN
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def cmd_train(cfg: RunConfig, manifest_path, out_checkpoint, log_path=None) -> P
     log_path = Path(log_path) if log_path else Path(str(out_checkpoint) + ".log.jsonl")
     with open(log_path, "w", newline="\n") as log:
         for it in range(cfg.max_iter):
-            lr_it = poly_lr(cfg.lr, it, cfg.max_iter, LR_POWER)
+            lr_it = poly_lr(cfg.lr, it, cfg.max_iter)
             batch = [augment(samples[(it * cfg.batch_size + j) % n], rng_aug)
                      for j in range(cfg.batch_size)]
             image, depth_gt = _stack_batch(batch)
@@ -280,7 +280,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest_path, split: str = "holdout",
         sample = read_sample(img_path, dep_path)
         image, depth_gt = _stack_batch([sample])
         out = forward(None, image, params)
-        hard = Tensor(hard_decode(out.probs))  # at the head's resolution
+        hard = Tensor(hard_decode(out.probs.data))  # at the head's resolution
         decoded = {
             "coarse": out.coarse.data,
             "refined": out.refined.data,
@@ -377,43 +377,39 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aced", description=__doc__)
+    parser.set_defaults(sets=[], seed=None)  # for the commands that lack the flag
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the seed")
+    sets = _Parser(add_help=False)
+    sets.add_argument("--set", dest="sets", action="append", default=[],
+                      metavar="KEY=VALUE", help="override one config key (repeatable)")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--set", dest="sets", action="append", default=[],
-                       metavar="KEY=VALUE", help="override one config key (repeatable)")
-
-    p = sub.add_parser("gen-data", help="write synthetic scenes plus a manifest")
-    common(p)
+    p = sub.add_parser("gen-data", parents=[seed, sets],
+                       help="write synthetic scenes plus a manifest")
     p.add_argument("out_dir", type=Path)
 
-    p = sub.add_parser("train", help="train a model on a dataset manifest")
-    common(p)
+    p = sub.add_parser("train", parents=[seed, sets], help="train a model on a dataset manifest")
     p.add_argument("manifest", type=Path)
     p.add_argument("out_checkpoint", type=Path)
     p.add_argument("--log", type=Path, default=None, help="training log path")
 
-    p = sub.add_parser("eval", help="evaluate coarse/refined/hard outputs")
-    common(p)
+    p = sub.add_parser("eval", parents=[sets], help="evaluate coarse/refined/hard outputs")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("manifest", type=Path)
     p.add_argument("--split", choices=("train", "holdout"), default="holdout")
     p.add_argument("--out", type=Path, default=None, help="metrics JSONL path")
 
-    p = sub.add_parser("infer", help="depth + confidence for one PPM image")
-    common(p)
+    p = sub.add_parser("infer", parents=[sets], help="depth + confidence for one PPM image")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("image", type=Path)
     p.add_argument("out_prefix")
 
-    p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    common(p)
+    p = sub.add_parser("grad-check", parents=[seed], help="finite-difference gradient audit")
     p.add_argument("--corrupt", default=None, metavar="OP",
                    help="fault-injection hook: break OP's backward rule")
 
     p = sub.add_parser("render", help="grayscale visualization of a depth PGM")
-    common(p)
     p.add_argument("depth", type=Path)
     p.add_argument("out_ppm", type=Path)
     return parser

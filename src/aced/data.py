@@ -250,6 +250,8 @@ def _raw_pgm16(path) -> tuple[np.ndarray, float]:
     for comment in comments:
         parts = comment.split()
         if len(parts) == 2 and parts[0] == "scale":
+            if scale is not None:
+                raise MalformedHeaderError(f"{path}: more than one '# scale' comment")
             try:
                 scale = float(parts[1])
             except ValueError:

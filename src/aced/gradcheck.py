@@ -22,6 +22,7 @@ __all__ = [
     "CheckResult",
     "relative_error",
     "check_gradients",
+    "fault_tape",
     "project",
     "run_full_suite",
     "PRIMITIVE_TOL",
@@ -53,12 +54,29 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / denom
 
 
+def fault_tape(op: str | None) -> gc.Tape:
+    """A tape that breaks the backward rule of every node recorded under the
+    name `op` (None: no node) by scaling its upstream gradient by 1.5, and
+    counts those nodes in `.corrupted`. Its class derives from gc.Tape as
+    that is at call time, so a tracer's patched Tape stays its base."""
+    class FaultTape(gc.Tape):
+        corrupted = 0
+
+        def record(self, name, inputs, output, backward_fn):
+            if name != op:
+                return super().record(name, inputs, output, backward_fn)
+            self.corrupted += 1
+            super().record(name, inputs, output, lambda g: backward_fn(g * 1.5))
+
+    return FaultTape()
+
+
 def check_gradients(
     build: Callable[[gc.Tape | None], gc.Tensor],
     wrt: Sequence[gc.Tensor],
     rng: gc.Rng,
     max_entries: int = 16,
-    fault_op: str | None = None,
+    tape: gc.Tape | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -71,8 +89,10 @@ def check_gradients(
     has no central-difference reference: its forward and backward one-sided
     differences disagree by PRIMITIVE_TOL or more. Such an entry is not
     compared; another entry of the same tensor is drawn in its place.
+
+    `tape` records the analytic pass; a fresh gc.Tape by default.
     """
-    tape = gc.Tape(fault_op=fault_op)
+    tape = gc.Tape() if tape is None else tape
     loss = build(tape)
     gc.backward(loss)
     f0 = loss.item()
@@ -233,13 +253,17 @@ _COMPONENTS = [
 
 def run_full_suite(seed: int = 0, corrupt_op: str | None = None) -> list[CheckResult]:
     """Run every check; corrupt_op is the fault-injection hook that breaks
-    the named operation's backward rule so the suite must fail."""
-    results = []
+    the named operation's backward rule (see fault_tape) so the suite must
+    fail. A corrupt_op that no check records is a ValueError."""
+    results, corrupted = [], 0
     for name, factory, tol in _COMPONENTS:
         rng = gc.Rng(gc.derive_seed(seed, "gradcheck", name))
         build, wrt = factory(rng)
+        tape = fault_tape(corrupt_op)
         err = check_gradients(build, wrt, rng.spawn("sample"),
-                              max_entries=8 if tol == COMPOSED_TOL else 16,
-                              fault_op=corrupt_op)
+                              max_entries=8 if tol == COMPOSED_TOL else 16, tape=tape)
+        corrupted += tape.corrupted
         results.append(CheckResult(name=name, max_rel_err=err, tolerance=tol))
+    if corrupt_op is not None and not corrupted:
+        raise ValueError(f"no check records an op named {corrupt_op!r}, so none was corrupted")
     return results

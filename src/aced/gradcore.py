@@ -19,6 +19,7 @@ runs as four 2x2 phase convs of the input.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Sequence
 
 import numpy as np
@@ -188,15 +189,12 @@ class Tensor:
 class Tape:
     """Ordered record of operations; inputs of a node always precede it.
 
-    Single-threaded: one tape must not be shared between threads. `fault_op`
-    is a test hook that corrupts the backward rule of every node recorded
-    under that name (used to prove the gradient checker catches bad rules).
+    Single-threaded: one tape must not be shared between threads.
     """
 
-    def __init__(self, fault_op: str | None = None):
+    def __init__(self):
         self._nodes: list[tuple[str, Tensor, Callable[[np.ndarray], None]]] = []  # (name, output, rule)
         self._done = False
-        self._fault_op = fault_op
 
     def record(
         self,
@@ -209,12 +207,6 @@ class Tape:
         for t in inputs:
             if t.needs_grad and t.tape is not None and t.tape is not self:
                 raise TapeError("operation mixes tensors from different tapes")
-        if self._fault_op is not None and name == self._fault_op:
-            inner = backward_fn
-
-            def backward_fn(g, _inner=inner):  # corrupt by scaling upstream grad
-                _inner(g * 1.5)
-
         output.needs_grad = True
         output.tape = self
         self._nodes.append((name, output, backward_fn))
@@ -561,6 +553,7 @@ class ParamStore:
 ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator guard (Kingma & Ba)
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+POLY_LR_POWER = 0.9  # power of the polynomial learning-rate decay, as in DORN
 
 
 def adam_step(params: ParamStore, lr: float) -> None:
@@ -587,25 +580,25 @@ def adam_step(params: ParamStore, lr: float) -> None:
     params._flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> float:
-    """Polynomial decay: base_lr * (1 - iteration/max_iter)**power."""
+def poly_lr(base_lr: float, iteration: int, max_iter: int) -> float:
+    """Polynomial decay: base_lr * (1 - iteration/max_iter)**POLY_LR_POWER."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0 <= iteration <= max_iter:
         raise ValueError(f"iteration {iteration} outside [0, {max_iter}]")
-    return base_lr * (1.0 - iteration / max_iter) ** power
+    return base_lr * (1.0 - iteration / max_iter) ** POLY_LR_POWER
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: b"ACED2\n", then per parameter (in store order) a name
-# line, a shape line of 4 decimal counts, and raw little-endian float64.
-# ACED1 files hold the same names and shapes but were trained with the
-# multiscale residual blocks run after the upsample, at full resolution;
-# they are refused rather than loaded into the native-scale graph.
+# Checkpoint format: CHECKPOINT_MAGIC, then per parameter (in store order) a
+# name line, a shape line of 4 decimal counts, and raw little-endian float64.
+# The magic's number is the network layout: a change to what the parameters
+# mean (ACED1 ran the multiscale residual blocks at full resolution) bumps
+# it, and a file of another number is refused rather than loaded.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"ACED2\n"
-_FULL_RES_FUSION_MAGIC = b"ACED1\n"
+_ANY_MAGIC = re.compile(rb"ACED\d+\n")
 
 
 def save_checkpoint(params: ParamStore, path) -> None:
@@ -636,12 +629,11 @@ def load_checkpoint(params: ParamStore, path) -> None:
     and every value must be finite."""
     with open(path, "rb") as f:
         buf = f.read()
-    if buf.startswith(_FULL_RES_FUSION_MAGIC):
-        raise CheckpointError(
-            f"{path}: ACED1 checkpoint, written for the full-resolution fusion "
-            f"layout; the network now fuses at native scale, so retrain the model"
-        )
     if not buf.startswith(CHECKPOINT_MAGIC):
+        if m := _ANY_MAGIC.match(buf):
+            raise CheckpointError(
+                f"{path}: {m[0][:-1].decode()} checkpoint, written for another network "
+                f"layout than {CHECKPOINT_MAGIC[:-1].decode()}; retrain the model")
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     pos = len(CHECKPOINT_MAGIC)
     for name, t in params.items():

@@ -42,11 +42,14 @@ def depth_fault(d: np.ndarray) -> tuple[str, int] | None:
     return fault, np.count_nonzero(bad)
 
 
-def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -> MetricReport:
+DDE_PLANE_DEPTH = 3.0  # meters from the camera to the plane that DDE splits at
+
+
+def compute_metrics(d: np.ndarray, d_gt: np.ndarray) -> MetricReport:
     """Every metric over all pixels of two same-shape finite positive depth
     maps; a metric that overflows is a MetricsError. DDE is the percent of
     pixels whose prediction falls on the same side of the plane at
-    plane_depth as the ground truth."""
+    DDE_PLANE_DEPTH as the ground truth."""
     if d.shape != d_gt.shape:
         raise MetricsError(f"shape mismatch: {d.shape} vs {d_gt.shape}")
     dv, gv = d.reshape(-1), d_gt.reshape(-1)
@@ -63,7 +66,7 @@ def compute_metrics(d: np.ndarray, d_gt: np.ndarray, plane_depth: float = 3.0) -
             delta1=deltas[0],
             delta2=deltas[1],
             delta3=deltas[2],
-            dde=100.0 * float(((dv <= plane_depth) == (gv <= plane_depth)).mean()),
+            dde=100.0 * float(((dv <= DDE_PLANE_DEPTH) == (gv <= DDE_PLANE_DEPTH)).mean()),
             pixel_count=int(dv.size),
         )
     return _finite(rep)

@@ -99,14 +99,13 @@ def encode_rank(labels, k_levels: int) -> np.ndarray:
     return (ks < lab).astype(np.float64)
 
 
-def hard_decode(probs) -> np.ndarray:
+def hard_decode(probs: np.ndarray) -> np.ndarray:
     """Threshold-and-count decode of (B, K-1, H, W) probabilities: binarize
     at 0.5, count the 1s, output the bin midpoint (t_c + t_{c+1})/2. Not
     differentiable; baseline/oracle only.
     """
-    arr = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if probs.min() < 0.0 or probs.max() > 1.0:
         raise DomainError("hard_decode: probabilities must lie in [0, 1]")
-    c = (arr > 0.5).sum(axis=1, keepdims=True)
-    t = make_thresholds(arr.shape[1] + 1)
+    c = (probs > 0.5).sum(axis=1, keepdims=True)
+    t = make_thresholds(probs.shape[1] + 1)
     return (t[c] + t[c + 1]) / 2.0

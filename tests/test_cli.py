@@ -2,8 +2,9 @@
 eval, infer and render chain, whose outputs are pinned by sha256; train
 logs the terms its loss summed; ordinal-only training leaves the fusion and
 refinement untouched; eval prints one aggregate per output, pooled from its
-per-image lines; exit code 1 for a usage error, a bad config value, a
-removed config key, a depth map whose scale is not finite and positive, an
+per-image lines; exit code 1 for a usage error (a flag the command does
+not read among them), a bad config value, a removed config key, a
+grad-check --corrupt op that no check records, a depth map whose scale is not finite and positive, an
 eval output with non-positive depth or non-finite metrics (naming the image
 and the output, after writing every pair that scored) or an aggregate that
 overflows, an infer output with non-positive or non-finite depth (writing
@@ -27,7 +28,7 @@ from aced.data import read_manifest, read_pgm16, read_ppm, write_pgm16, write_pp
 from aced.gradcore import Rng, Tensor, derive_seed, load_checkpoint, save_checkpoint, upsample_nearest
 from aced.metrics import MetricsError
 from aced.ordhead import pair_softmax
-from aced.sid import hard_decode
+from aced.sid import DEPTH_RANGE, hard_decode
 from conftest import TINY_SETS, tiny_config
 
 
@@ -94,7 +95,7 @@ def test_eval_prints_three_aggregates(tiny_dataset, tmp_path, capsys):
     cfg, manifest = tiny_dataset
     ckpt, _ = _train(cfg, manifest, tmp_path)
     capsys.readouterr()
-    code = cli.main(["eval", "--seed", str(cfg.seed), *_sets(), str(ckpt), str(manifest)])
+    code = cli.main(["eval", *_sets(), str(ckpt), str(manifest)])
     assert code == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [rec["output"] for rec in lines] == ["coarse", "refined", "hard"]
@@ -142,7 +143,7 @@ def test_eval_hard_decode_is_the_hard_decode_of_the_upsampled_head(tiny_dataset,
     for (img_path, _), got in zip(pairs, calls[2::3]):
         out = network.forward(None, Tensor(read_ppm(img_path)[None]), params)
         probs = pair_softmax(None, upsample_nearest(None, out.logits, 2))
-        np.testing.assert_array_equal(got, hard_decode(probs))
+        np.testing.assert_array_equal(got, hard_decode(probs.data))
 
 
 def test_eval_names_the_image_and_output_with_non_positive_depth(tiny_dataset, tmp_path, capsys):
@@ -505,6 +506,56 @@ def test_grad_check_with_a_corrupted_op_exits_2(capsys):
     assert "FAIL conv2d_stride1" in out and "FAILURES detected" in out
 
 
+def test_grad_check_corrupting_an_op_no_check_records_exits_1(capsys):
+    # A misspelt op would otherwise pass every check and look like proof
+    # that the checker misses a broken rule.
+    assert cli.main(["grad-check", "--corrupt", "conv2dd"]) == 1
+    captured = capsys.readouterr()
+    assert "no check records an op named 'conv2dd'" in captured.err
+    assert captured.out == ""
+
+
+def test_grad_check_takes_a_seed(capsys):
+    assert cli.main(["grad-check", "--seed", "7"]) == 0
+    assert "grad-check: all checks passed" in capsys.readouterr().out
+
+
+# Each command takes only the flags it reads: --seed on gen-data, train and
+# grad-check, --set on every command but render and grad-check.
+_UNREAD_FLAGS = [
+    ("grad-check", ["--set", "k=9", "--set", "base_width=7"]),
+    ("render", ["--set", "lr=1e-3"]),
+    ("render", ["--seed", "1"]),
+    ("eval", ["--seed", "1"]),
+    ("infer", ["--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", _UNREAD_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in _UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tiny_dataset, tmp_path, capsys,
+                                                           command, flags):
+    # Every input exists, so without the flag each command would succeed.
+    cfg, manifest = tiny_dataset
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(network.init_params(cfg.network_config(), Rng(0)), ckpt)
+    depth = tmp_path / "depth.pgm"
+    write_pgm16(depth, np.full((1, 16, 16), 2.0), DEPTH_RANGE.beta / 65535.0)
+    image = manifest.parent / "scene_00000.ppm"
+    args = {
+        "grad-check": [],
+        "render": [str(depth), str(tmp_path / "out.ppm")],
+        "eval": [*_sets(), str(ckpt), str(manifest), "--out", str(tmp_path / "m.jsonl")],
+        "infer": [*_sets(), str(ckpt), str(image), str(tmp_path / "out")],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([command, *flags, *args]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and flags[0] in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def _printed_paths(out: str) -> list[Path]:
     """The paths a command printed, one per line, without a 'kind: ' prefix."""
     return [Path(line.split(": ", 1)[-1]) for line in out.splitlines()]
@@ -527,7 +578,9 @@ def test_gen_data_train_eval_infer_render_chain(tiny_dataset, tmp_path, capsys):
 
     def run(command, *args):
         capsys.readouterr()
-        assert cli.main([command, "--seed", str(cfg.seed), *_sets(), *args]) == 0
+        seed = ["--seed", str(cfg.seed)] if command in ("gen-data", "train") else []
+        sets = _sets() if command != "render" else []
+        assert cli.main([command, *seed, *sets, *args]) == 0
         return capsys.readouterr().out
 
     data = tmp_path / "data"

@@ -111,12 +111,13 @@ class TestFormatErrors:
         (b"# lead\nP5 # after magic\n# scale 0.25\n2\n# w\n1 # h\n# maxval next\n65535\n", 0.25),
         *[(b"P5%s# scale 0.25\n2%s1%s65535%s" % (sep, sep, sep, sep), 0.25)
           for sep in (b"\t", b"\r", b"\x0b", b"\x0c")],
-        (b"P5\n# scale 0.5\n# scale 0.25\n2 1\n65535\n", 0.25),
+        (b"P5\n# scale 0.5\n# scale 0.25\n2 1\n65535\n\x00\x01\x00\x02",
+         "more than one '# scale' comment"),
         (b"P5\n# scale 0.25\n1#2 1\n65535\n", "bad width '1#2'"),
         (b"P5\n# scale 0.25\n2 1\n# no newline", "unterminated comment"),
         (b"", "truncated header"),
         (b"P5\n# scale 0.25\n2 1\n", "truncated header"),
-    ], ids=["comments", "tab", "cr", "vt", "ff", "last_scale_wins", "hash_in_width",
+    ], ids=["comments", "tab", "cr", "vt", "ff", "two_scales", "hash_in_width",
             "unterminated_comment", "empty", "cut_after_height"])
     def test_header_tokens_and_comments(self, tmp_path, data, want):
         pgm = _write(tmp_path, "a.pgm", data + (b"\x00\x01\x00\x02" if want == 0.25 else b""))

@@ -120,8 +120,22 @@ def test_a_kink_does_not_hide_a_broken_rule():
         return gradcheck.project(tape, gc.relu(tape, x), weights)
     assert gradcheck.check_gradients(build, [x], gc.Rng(0)) < 1e-9
     x.grad = None
-    err = gradcheck.check_gradients(build, [x], gc.Rng(0), fault_op="relu")
+    err = gradcheck.check_gradients(build, [x], gc.Rng(0), tape=gradcheck.fault_tape("relu"))
     assert err == pytest.approx(1 / 3)
+
+
+def test_fault_tape_counts_the_nodes_it_corrupts():
+    x = gc.Tensor([[[[0.5, -0.4]]]], requires_grad=True)
+    tape = gradcheck.fault_tape("relu")
+    loss = gradcheck.project(tape, gc.relu(tape, gc.relu(tape, x)), np.ones(x.shape))
+    assert tape.corrupted == 2
+    gc.backward(loss)
+    np.testing.assert_array_equal(x.grad, [[[[0.5 * 1.5 * 1.5, 0.0]]]])
+
+
+def test_corrupting_an_op_no_check_records_is_an_error():
+    with pytest.raises(ValueError, match="no check records an op named 'conv2dd'"):
+        gradcheck.run_full_suite(seed=0, corrupt_op="conv2dd")
 
 
 @pytest.mark.parametrize("seed", [3, 21])

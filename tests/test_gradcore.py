@@ -748,17 +748,17 @@ def test_init_params_tensors_are_views_of_the_two_vectors():
 
 class TestPolyLr:
     def test_iter_zero_gives_base(self):
-        assert gc.poly_lr(0.02, 0, 100, 0.9) == 0.02
+        assert gc.poly_lr(0.02, 0, 100) == 0.02
 
     def test_iter_max_gives_zero(self):
-        assert gc.poly_lr(0.02, 100, 100, 0.9) == 0.0
+        assert gc.poly_lr(0.02, 100, 100) == 0.0
 
     def test_midpoint(self):
-        np.testing.assert_allclose(gc.poly_lr(1.0, 50, 100, 0.9), 0.5**0.9)
+        np.testing.assert_allclose(gc.poly_lr(1.0, 50, 100), 0.5**0.9)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            gc.poly_lr(1.0, 101, 100, 0.9)
+            gc.poly_lr(1.0, 101, 100)
 
 
 class TestRng:
@@ -819,7 +819,24 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         gc.save_checkpoint(params, path)
         path.write_bytes(b"ACED1\n" + path.read_bytes()[len(gc.CHECKPOINT_MAGIC):])
-        with pytest.raises(gc.CheckpointError, match="full-resolution fusion.*retrain"):
+        with pytest.raises(gc.CheckpointError, match="ACED1 checkpoint.*another network "
+                           "layout than ACED2; retrain the model"):
+            gc.load_checkpoint(self._store(), path)
+
+    @pytest.mark.parametrize("magic", [b"ACED3\n", b"ACED10\n"])
+    def test_checkpoint_of_a_later_layout_rejected(self, tmp_path, magic):
+        params = self._store()
+        path = tmp_path / "ck.bin"
+        gc.save_checkpoint(params, path)
+        path.write_bytes(magic + path.read_bytes()[len(gc.CHECKPOINT_MAGIC):])
+        with pytest.raises(gc.CheckpointError, match=f"{magic[:-1].decode()} checkpoint.*retrain"):
+            gc.load_checkpoint(self._store(), path)
+
+    @pytest.mark.parametrize("head", [b"ACED\n", b"ACEDx\n", b"ACED2 \n", b"aced2\n"])
+    def test_magic_that_names_no_layout_is_bad_magic(self, tmp_path, head):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(head + b"p\n1 1 1 1\n" + bytes(8))
+        with pytest.raises(gc.CheckpointError, match="bad magic"):
             gc.load_checkpoint(self._store(), path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -23,7 +23,7 @@ PRED = _map([1.0, 3.0, 9.0, 2.0])
 
 
 def test_hand_computed_example():
-    rep = compute_metrics(PRED, GT, plane_depth=3.0)
+    rep = compute_metrics(PRED, GT)
     assert rep.rel == pytest.approx((0.0 + 0.5 + 0.8 + 0.5) / 4, rel=1e-14)
     assert rep.log10 == pytest.approx(math.log10(1.5 * 1.8 * 2.0) / 4, rel=1e-14)
     assert rep.rms == pytest.approx(math.sqrt((0.0 + 1.0 + 16.0 + 4.0) / 4), rel=1e-14)
@@ -32,12 +32,6 @@ def test_hand_computed_example():
     # the last pixel (pred 2 near, gt 4 far) disagrees.
     assert rep.dde == 75.0
     assert rep.pixel_count == 4
-
-
-def test_plane_depth_moves_dde():
-    # At 4.5 the third pixel (pred 9, gt 5) is far on both sides and every
-    # other pixel is near on both.
-    assert compute_metrics(PRED, GT, plane_depth=4.5).dde == 100.0
 
 
 def test_shape_mismatch_is_rejected():

@@ -229,7 +229,7 @@ class TestExpectedLabel:
                 assert p == float(c) == float(l)
                 # and both decodes land at the same threshold index
                 t = make_thresholds(k)
-                hard = hard_decode(probs)[0, 0, 0, 0]
+                hard = hard_decode(probs.data)[0, 0, 0, 0]
                 assert t[c] < hard < t[c + 1]
 
     def test_strictly_monotone_in_each_probability(self):
