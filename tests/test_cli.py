@@ -4,14 +4,15 @@ logs the terms its loss summed; ordinal-only training leaves the fusion and
 refinement untouched; eval prints one aggregate per output, pooled from its
 per-image lines; exit code 1 for a usage error (a flag the command does
 not read among them), a bad config value, a removed config key, a
-grad-check --corrupt op that no check records, a depth map whose scale is not finite and positive, an
-eval output with non-positive depth or non-finite metrics (naming the image
-and the output, after writing every pair that scored) or an aggregate that
-overflows, an infer output with non-positive or non-finite depth (writing
-no file), a checkpoint with a non-finite value, a non-UTF-8 byte (named by
-path and offset) or one trained at another k or width, and 2 for a failed
-gradient check or diverged training (naming the first non-finite tape node
-and the partial log); eval's hard decode is that of the upsampled head."""
+grad-check --corrupt op that no check records, a depth map whose scale is
+not finite and positive, an eval output with non-positive depth or
+non-finite metrics (naming the image and the output, after writing every
+pair that scored) or an aggregate that overflows, an infer output with
+non-positive or non-finite depth (writing no file), a checkpoint with a
+non-finite value, a non-UTF-8 byte (named by path and offset) or one
+trained at another k or width, and 2 for a failed gradient check or
+diverged training (naming the first non-finite tape node and the partial
+log); eval's hard decode is that of the upsampled head."""
 
 import hashlib
 import json
